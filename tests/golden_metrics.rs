@@ -61,6 +61,8 @@ const GOLDEN: &[Golden] = &[
         counters: &[
             ("atpg_patterns", 130),
             ("podem_calls", 16),
+            ("podem_decisions", 1101),
+            ("podem_simulations", 2154),
             ("podem_backtracks", 1041),
             ("faultsim_gate_evals", 36316),
             ("atpg_escalations", 3),
@@ -79,6 +81,9 @@ const GOLDEN: &[Golden] = &[
         ratio_centi: 100,
         counters: &[
             ("atpg_patterns", 135),
+            ("podem_calls", 74),
+            ("podem_decisions", 4535),
+            ("podem_simulations", 8773),
             ("podem_backtracks", 4180),
             ("faultsim_gate_evals", 215535),
             ("atpg_escalations", 12),
