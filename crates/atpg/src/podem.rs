@@ -2,7 +2,10 @@
 //!
 //! The search makes decisions only at combinational sources (primary
 //! inputs and scan flops), derives every internal value by five-valued
-//! simulation, and backtracks chronologically. Objectives are chosen in
+//! implication, and backtracks chronologically. Each call simulates the
+//! whole circuit once; every later pass re-evaluates only the gates whose
+//! fanins changed since the previous pass, and the D-frontier and
+//! observation checks look only inside the fault's fanout cone. Objectives are chosen in
 //! the textbook order: excite the fault, then drive a D-frontier gate
 //! towards an observation point; the backtrace is guided by SCOAP costs.
 //! Optional *constraints* (required values on arbitrary nets) support the
@@ -160,6 +163,7 @@ impl<'a> Podem<'a> {
         }
         let mut stats = PodemStats::default();
         let mut stack: Vec<Decision> = Vec::new();
+        let mut imp = Implication::new(&self.sim, fault, &assignment);
 
         loop {
             if let Some(c) = &self.cancel {
@@ -168,10 +172,12 @@ impl<'a> Podem<'a> {
                 }
             }
             stats.simulations += 1;
-            let vals = self.sim.simulate(&assignment, Some(fault));
+            imp.update(&assignment);
+            #[cfg(test)]
+            imp.check_against_oracle();
 
-            if self.sim.fault_observed(&vals, Some(fault))
-                && constraints_satisfiable(&vals, constraints) == Tri::Satisfied
+            if imp.fault_observed()
+                && constraints_satisfiable(&imp.vals, constraints) == Tri::Satisfied
             {
                 let mut cube = TestCube::all_x(num_sources);
                 for (i, &v) in assignment.iter().enumerate() {
@@ -183,7 +189,7 @@ impl<'a> Podem<'a> {
             }
 
             // Choose the next objective, or learn that this branch failed.
-            let objective = self.objective(fault, &vals, constraints);
+            let objective = self.objective(fault, &mut imp, constraints);
             let objective = match objective {
                 Objective::Assign(net, val) => (net, val),
                 Objective::Fail => {
@@ -202,7 +208,7 @@ impl<'a> Podem<'a> {
             };
 
             // Backtrace the objective to an unassigned source.
-            match self.backtrace(objective.0, objective.1, &vals) {
+            match self.backtrace(objective.0, objective.1, &imp.vals) {
                 Some((src, val)) => {
                     stats.decisions += 1;
                     assignment[src] = Logic::from_bool(val);
@@ -234,8 +240,14 @@ impl<'a> Podem<'a> {
     }
 
     /// Selects the next objective per the PODEM priority order.
-    fn objective(&self, fault: Fault, vals: &[Logic], constraints: &[(GateId, bool)]) -> Objective {
+    fn objective(
+        &self,
+        fault: Fault,
+        imp: &mut Implication<'_>,
+        constraints: &[(GateId, bool)],
+    ) -> Objective {
         let nl = self.sim.netlist();
+        let vals = &imp.vals[..];
         // 0. Constraints: any violated -> fail; any unassigned -> objective.
         match constraints_satisfiable(vals, constraints) {
             Tri::Violated => return Objective::Fail,
@@ -266,9 +278,12 @@ impl<'a> Podem<'a> {
         }
 
         // 2. Propagation: pick a D-frontier gate and a non-controlling
-        // objective on one of its X inputs.
+        // objective on one of its X inputs. Fault effects exist only in
+        // the fault's cone, which is in ascending id order, so the
+        // lowest-id gate still wins a cost tie.
         let mut best: Option<(GateId, u32)> = None;
-        for (id, g) in nl.iter() {
+        for &id in &imp.cone {
+            let g = nl.gate(id);
             if vals[id.index()] != Logic::X || !g.kind.is_logic() {
                 continue;
             }
@@ -283,7 +298,7 @@ impl<'a> Podem<'a> {
                 continue;
             }
             // X-path check: can this gate still reach a sink through X?
-            if !self.x_path_to_sink(id, vals) {
+            if !imp.xpath.reaches_sink(nl, id, vals) {
                 continue;
             }
             let cost = self.scoap.co[id.index()];
@@ -321,34 +336,6 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// `true` if a path of X-valued nets leads from `from` to any sink.
-    fn x_path_to_sink(&self, from: GateId, vals: &[Logic]) -> bool {
-        let nl = self.sim.netlist();
-        let mut seen = vec![false; nl.num_gates()];
-        let mut stack = vec![from];
-        seen[from.index()] = true;
-        while let Some(id) = stack.pop() {
-            let g = nl.gate(id);
-            if matches!(g.kind, GateKind::Output | GateKind::Dff) {
-                return true;
-            }
-            for &fo in &g.fanouts {
-                if seen[fo.index()] {
-                    continue;
-                }
-                seen[fo.index()] = true;
-                let fog = nl.gate(fo);
-                if matches!(fog.kind, GateKind::Output | GateKind::Dff) {
-                    return true;
-                }
-                if vals[fo.index()] == Logic::X {
-                    stack.push(fo);
-                }
-            }
-        }
-        false
-    }
-
     /// Walks an objective `(net, value)` backwards through X-valued gates
     /// to an unassigned source; returns the source index and value to
     /// assign.
@@ -374,15 +361,13 @@ impl<'a> Podem<'a> {
                 value = !value;
             }
             // Choose which X input to pursue.
-            let x_inputs: Vec<GateId> = g
-                .fanins
-                .iter()
-                .copied()
-                .filter(|&f| vals[f.index()] == Logic::X)
-                .collect();
-            if x_inputs.is_empty() {
-                return None;
-            }
+            let x_inputs = || {
+                g.fanins
+                    .iter()
+                    .copied()
+                    .filter(|&f| vals[f.index()] == Logic::X)
+            };
+            let first_x = x_inputs().next()?;
             let next = match g.kind {
                 GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
                     // After inversion handling, `value` is the objective for
@@ -399,13 +384,13 @@ impl<'a> Podem<'a> {
                         }
                     };
                     if !self.guided {
-                        x_inputs[0]
+                        first_x
                     } else if controlling {
                         // easiest
-                        *x_inputs.iter().min_by_key(|&&f| cost(f)).unwrap()
+                        x_inputs().min_by_key(|&f| cost(f)).unwrap_or(first_x)
                     } else {
                         // hardest
-                        *x_inputs.iter().max_by_key(|&&f| cost(f)).unwrap()
+                        x_inputs().max_by_key(|&f| cost(f)).unwrap_or(first_x)
                     }
                 }
                 GateKind::Xor | GateKind::Xnor => {
@@ -419,14 +404,14 @@ impl<'a> Podem<'a> {
                     value ^= known_parity;
                     // Remaining X inputs besides the chosen one are assumed
                     // 0 by this heuristic; simulation corrects any error.
-                    x_inputs[0]
+                    first_x
                 }
                 GateKind::Mux2 => {
                     // Prefer steering through the select if it is X.
-                    x_inputs[0]
+                    first_x
                 }
-                GateKind::Buf | GateKind::Not => x_inputs[0],
-                _ => x_inputs[0],
+                GateKind::Buf | GateKind::Not => first_x,
+                _ => first_x,
             };
             net = next;
         }
@@ -473,13 +458,378 @@ fn backtrack(stack: &mut Vec<Decision>, assignment: &mut [Logic]) -> bool {
     false
 }
 
+/// The per-call implication state of one PODEM search: the five-valued
+/// value of every net under the current assignment with `fault`
+/// injected, kept current event by event, plus the fault's fanout cone
+/// and X-path scratch.
+struct Implication<'s> {
+    sim: &'s FiveSim<'s>,
+    fault: Fault,
+    /// Net values indexed by `GateId`; after [`Implication::update`] they
+    /// equal `FiveSim::simulate(assignment, Some(fault))`.
+    vals: Vec<Logic>,
+    /// The assignment `vals` reflects.
+    applied: Vec<Logic>,
+    /// Gates awaiting re-evaluation, one bucket per level.
+    buckets: Vec<Vec<GateId>>,
+    queued: Vec<bool>,
+    /// Number of gates in `buckets`.
+    pending: usize,
+    /// Fanin-value scratch for [`FiveSim::eval`].
+    ins: Vec<Logic>,
+    /// The fault site plus every gate forward-reachable from it, stopping
+    /// at flops, in ascending id order. Only these nets can carry `D`/`D̄`.
+    cone: Vec<GateId>,
+    /// The sinks (primary outputs and flops) in `cone`.
+    cone_sinks: Vec<GateId>,
+    xpath: XPath,
+}
+
+impl<'s> Implication<'s> {
+    /// Runs the one full simulation pass of a call and computes the cone.
+    fn new(sim: &'s FiveSim<'s>, fault: Fault, assignment: &[Logic]) -> Implication<'s> {
+        let nl = sim.netlist();
+        let n = nl.num_gates();
+        let cone = fault_cone(nl, fault);
+        let cone_sinks = cone
+            .iter()
+            .copied()
+            .filter(|&id| matches!(nl.gate(id).kind, GateKind::Output | GateKind::Dff))
+            .collect();
+        Implication {
+            sim,
+            fault,
+            vals: sim.simulate(assignment, Some(fault)),
+            applied: assignment.to_vec(),
+            buckets: vec![Vec::new(); sim.levelization().max_level() as usize + 1],
+            queued: vec![false; n],
+            pending: 0,
+            ins: Vec::with_capacity(8),
+            cone,
+            cone_sinks,
+            xpath: XPath {
+                seen: vec![0; n],
+                stamp: 0,
+                stack: Vec::new(),
+            },
+        }
+    }
+
+    /// Brings `vals` up to date with `assignment`: writes the sources that
+    /// changed since the last pass, then re-evaluates in level order only
+    /// the gates with a changed fanin. Flops are never re-evaluated (their
+    /// D pins are read from the driver by the sink check).
+    fn update(&mut self, assignment: &[Logic]) {
+        let sim = self.sim;
+        let fault = Some(self.fault);
+        for (s, &want) in assignment.iter().enumerate() {
+            if self.applied[s] == want {
+                continue;
+            }
+            self.applied[s] = want;
+            let src = sim.sources()[s];
+            let v = sim.source_value(s, want, fault);
+            if self.vals[src.index()] != v {
+                self.vals[src.index()] = v;
+                self.schedule_fanouts(src);
+            }
+        }
+        let mut level = 0;
+        while self.pending > 0 {
+            while let Some(id) = self.buckets[level].pop() {
+                self.pending -= 1;
+                self.queued[id.index()] = false;
+                let v = sim.eval(id, &self.vals, fault, &mut self.ins);
+                if self.vals[id.index()] != v {
+                    self.vals[id.index()] = v;
+                    self.schedule_fanouts(id);
+                }
+            }
+            level += 1;
+        }
+    }
+
+    /// Queues every combinational fanout of `id`. A fanout sits at a
+    /// higher level than `id`, so it is evaluated after all its fanins.
+    fn schedule_fanouts(&mut self, id: GateId) {
+        let nl = self.sim.netlist();
+        let lv = self.sim.levelization();
+        for &fo in &nl.gate(id).fanouts {
+            if self.queued[fo.index()] || matches!(nl.gate(fo).kind, GateKind::Dff) {
+                continue;
+            }
+            self.queued[fo.index()] = true;
+            self.buckets[lv.level(fo) as usize].push(fo);
+            self.pending += 1;
+        }
+    }
+
+    /// [`FiveSim::fault_observed`] restricted to the cone's sinks; a sink
+    /// outside the cone cannot carry a fault effect.
+    fn fault_observed(&self) -> bool {
+        self.cone_sinks.iter().any(|&s| {
+            self.sim
+                .sink_value(s, &self.vals, Some(self.fault))
+                .is_fault_effect()
+        })
+    }
+
+    /// Asserts that the incremental state matches the full-pass oracle.
+    #[cfg(test)]
+    fn check_against_oracle(&self) {
+        let (sim, fault) = (self.sim, self.fault);
+        let full = sim.simulate(&self.applied, Some(fault));
+        for (i, (&got, &want)) in self.vals.iter().zip(&full).enumerate() {
+            assert_eq!(
+                got,
+                want,
+                "{fault}: net {} diverged",
+                sim.netlist().gate(GateId(i as u32)).name
+            );
+        }
+        for (i, v) in full.iter().enumerate() {
+            let id = GateId(i as u32);
+            assert!(
+                !v.is_fault_effect() || self.cone.binary_search(&id).is_ok(),
+                "{fault}: fault effect outside the cone"
+            );
+        }
+        assert_eq!(
+            self.fault_observed(),
+            sim.fault_observed(&full, Some(fault)),
+            "{fault}: observation diverged"
+        );
+    }
+}
+
+/// The fault site plus every gate forward-reachable from where the fault
+/// injects its effect, stopping at flops, sorted by id. A flop D-pin
+/// fault shows only at that flop's sink, so its cone is the flop alone.
+fn fault_cone(nl: &Netlist, fault: Fault) -> Vec<GateId> {
+    let site = fault.site.gate;
+    let mut in_cone = vec![false; nl.num_gates()];
+    in_cone[site.index()] = true;
+    let mut cone = vec![site];
+    let site_expands = fault.site.pin.is_none() || !matches!(nl.gate(site).kind, GateKind::Dff);
+    let mut next = if site_expands { 0 } else { 1 };
+    while next < cone.len() {
+        let id = cone[next];
+        next += 1;
+        if id != site && matches!(nl.gate(id).kind, GateKind::Dff) {
+            continue;
+        }
+        for &fo in &nl.gate(id).fanouts {
+            if !in_cone[fo.index()] {
+                in_cone[fo.index()] = true;
+                cone.push(fo);
+            }
+        }
+    }
+    cone.sort_unstable();
+    cone
+}
+
+/// Reusable scratch for the D-frontier X-path check.
+struct XPath {
+    /// `seen[g] == stamp` marks gate `g` visited by the current search.
+    seen: Vec<u32>,
+    stamp: u32,
+    stack: Vec<GateId>,
+}
+
+impl XPath {
+    /// `true` if a path of X-valued nets leads from `from` to any sink.
+    fn reaches_sink(&mut self, nl: &Netlist, from: GateId, vals: &[Logic]) -> bool {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.stack.clear();
+        self.stack.push(from);
+        self.seen[from.index()] = self.stamp;
+        while let Some(id) = self.stack.pop() {
+            let g = nl.gate(id);
+            if matches!(g.kind, GateKind::Output | GateKind::Dff) {
+                return true;
+            }
+            for &fo in &g.fanouts {
+                if self.seen[fo.index()] == self.stamp {
+                    continue;
+                }
+                self.seen[fo.index()] = self.stamp;
+                if matches!(nl.gate(fo).kind, GateKind::Output | GateKind::Dff) {
+                    return true;
+                }
+                if vals[fo.index()] == Logic::X {
+                    self.stack.push(fo);
+                }
+            }
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_fault::{universe_stuck_at, Fault};
+    use crate::twoframe::expand_two_frames;
+    use dft_fault::{universe_stuck_at, Fault, FaultSite};
     use dft_logicsim::FaultSim;
-    use dft_netlist::generators::{c17, decoder, ripple_adder};
+    use dft_netlist::generators::{
+        c17, decoder, mac_pe, ripple_adder, systolic_array, SystolicConfig,
+    };
     use dft_netlist::{GateKind, Netlist};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Fault classes the implication injects differently: PI stem, flop
+    /// stem, flop D pin, gate stem and gate branch.
+    const CLASSES: usize = 5;
+
+    fn fault_class(nl: &Netlist, f: Fault) -> usize {
+        match (nl.gate(f.site.gate).kind, f.site.pin) {
+            (GateKind::Input, None) => 0,
+            (GateKind::Dff, None) => 1,
+            (GateKind::Dff, Some(_)) => 2,
+            (_, None) => 3,
+            (_, Some(_)) => 4,
+        }
+    }
+
+    /// Up to six faults of each class, spread over the universe.
+    fn fault_sample(nl: &Netlist) -> Vec<Fault> {
+        let mut by_class: [Vec<Fault>; CLASSES] = Default::default();
+        for f in universe_stuck_at(nl) {
+            by_class[fault_class(nl, f)].push(f);
+        }
+        by_class
+            .iter()
+            .flat_map(|c| c.iter().step_by((c.len() / 6).max(1)).take(6).copied())
+            .collect()
+    }
+
+    /// Drives random assign, flip and unassign steps (never touching the
+    /// `pinned` bits) through the incremental implication and checks it
+    /// against the full pass after every step. Returns how many steps
+    /// observed the fault.
+    fn random_walk(sim: &FiveSim, fault: Fault, pinned: &[Logic], seed: u64) -> usize {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut assignment = pinned.to_vec();
+        let mut imp = Implication::new(sim, fault, &assignment);
+        imp.check_against_oracle();
+        let mut observed = 0;
+        for _ in 0..80 {
+            // One change is a decision; several model a backtrack that
+            // flips one decision and unassigns others.
+            for _ in 0..rng.gen_range(1..4usize) {
+                let s = rng.gen_range(0..assignment.len());
+                if pinned[s] != Logic::X {
+                    continue;
+                }
+                assignment[s] = match assignment[s] {
+                    Logic::X => Logic::from_bool(rng.gen_bool(0.5)),
+                    v if rng.gen_bool(0.5) => !v,
+                    _ => Logic::X,
+                };
+            }
+            imp.update(&assignment);
+            imp.check_against_oracle();
+            observed += usize::from(imp.fault_observed());
+        }
+        observed
+    }
+
+    #[test]
+    fn incremental_implication_matches_full_simulation() {
+        let designs = [
+            c17(),
+            decoder(3),
+            mac_pe(4),
+            systolic_array(SystolicConfig {
+                rows: 2,
+                cols: 2,
+                width: 4,
+            }),
+        ];
+        let mut classes_seen = [false; CLASSES];
+        for nl in &designs {
+            let sim = FiveSim::new(nl);
+            let free = vec![Logic::X; sim.sources().len()];
+            let mut observed = 0;
+            for (i, fault) in fault_sample(nl).into_iter().enumerate() {
+                classes_seen[fault_class(nl, fault)] = true;
+                observed += random_walk(&sim, fault, &free, i as u64);
+            }
+            assert!(observed > 0, "{}: no step observed its fault", nl.name());
+        }
+        assert_eq!(classes_seen, [true; CLASSES], "a fault class went untested");
+    }
+
+    #[test]
+    fn constrained_two_frame_search_matches_full_simulation() {
+        // Broadside transition ATPG: the frame-2 fault with a frame-1
+        // launch constraint, on top of a pre-assigned cube as dynamic
+        // compaction passes it. The search checks every implication pass
+        // against the full-pass oracle (`check_against_oracle`).
+        let nl = mac_pe(4);
+        let tf = expand_two_frames(&nl);
+        let exp = &tf.netlist;
+        let sim = FiveSim::new(exp);
+        let podem = Podem::new(exp);
+        let width = sim.sources().len();
+        let mut initial = TestCube::all_x(width);
+        let mut pinned = vec![Logic::X; width];
+        for i in (0..width).step_by(5) {
+            initial.set(i, i % 2 == 0);
+            pinned[i] = Logic::from_bool(i % 2 == 0);
+        }
+        let mut tests = 0;
+        for (i, f) in fault_sample(&nl).into_iter().enumerate() {
+            if matches!(nl.gate(f.site.gate).kind, GateKind::Dff) {
+                continue; // flops have no frame-2 copy
+            }
+            // A slow-to-rise (slow-to-fall) transition is a frame-2
+            // stuck-at-0 (1) whose net carries 0 (1) in frame 1.
+            let fault = Fault {
+                site: FaultSite {
+                    gate: tf.frame2[f.site.gate.index()],
+                    pin: f.site.pin,
+                },
+                kind: f.kind,
+            };
+            let launch_net = tf.frame1[f.site.net(&nl).index()];
+            let launch = f.kind.stuck_value();
+            random_walk(&sim, fault, &pinned, i as u64);
+            let (result, _) =
+                podem.generate_constrained(fault, &[(launch_net, launch)], 200, Some(&initial));
+            let AtpgResult::Test(cube) = result else {
+                continue;
+            };
+            tests += 1;
+            let asg: Vec<Logic> = cube
+                .bits()
+                .iter()
+                .map(|b| b.map_or(Logic::X, Logic::from_bool))
+                .collect();
+            for (&got, &want) in asg.iter().zip(&pinned) {
+                if want != Logic::X {
+                    assert_eq!(got, want, "{fault}: initial bit dropped");
+                }
+            }
+            let vals = sim.simulate(&asg, Some(fault));
+            assert!(
+                sim.fault_observed(&vals, Some(fault)),
+                "{fault}: cube does not detect"
+            );
+            assert_eq!(
+                vals[launch_net.index()].good(),
+                Some(launch),
+                "{fault}: no launch"
+            );
+        }
+        assert!(tests > 0, "no constrained search succeeded");
+    }
 
     #[test]
     fn podem_finds_test_for_every_c17_fault() {

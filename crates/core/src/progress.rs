@@ -5,8 +5,8 @@
 //! and the [`MetricsHandle`](dft_metrics::MetricsHandle) for fault and
 //! pattern counters, rewriting a single spinner line on stderr roughly
 //! ten times a second. The line is only drawn when stderr is an
-//! interactive terminal (or when forced for tests); in pipes and CI
-//! logs the reporter is a silent no-op. [`ProgressLine::finish`] stops
+//! interactive terminal (tests force it onto a writer of their own); in
+//! pipes and CI logs the reporter is a silent no-op. [`ProgressLine::finish`] stops
 //! the thread and clears the line so the final report starts on a
 //! clean row.
 //!
@@ -17,7 +17,7 @@
 //! and [`Dashboard`], the multi-line redraw primitive `aidft top`
 //! renders its fleet view with.
 
-use std::io::{IsTerminal, Write};
+use std::io::{self, IsTerminal, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -55,21 +55,32 @@ pub struct ProgressLine {
 }
 
 impl ProgressLine {
-    /// Starts the reporter if stderr is a terminal; otherwise returns a
-    /// no-op handle. `trace` supplies the phase name (use a
+    /// Starts the reporter on stderr if stderr is a terminal; otherwise
+    /// returns a no-op handle. `trace` supplies the phase name (use a
     /// `phases_only` session when full tracing is not wanted) and
     /// `metrics` the live counters.
     pub fn spawn(trace: TraceHandle, metrics: MetricsHandle) -> ProgressLine {
-        ProgressLine::spawn_inner(trace, metrics, std::io::stderr().is_terminal())
+        let err = io::stderr();
+        let active = err.is_terminal();
+        ProgressLine::spawn_inner(trace, metrics, active, err)
     }
 
-    /// Like [`ProgressLine::spawn`] but with an explicit TTY decision,
-    /// so tests can exercise the thread without a terminal.
-    pub fn spawn_forced(trace: TraceHandle, metrics: MetricsHandle) -> ProgressLine {
-        ProgressLine::spawn_inner(trace, metrics, true)
+    /// Like [`ProgressLine::spawn`] but draws to `out` whether or not it
+    /// is a terminal, so tests can exercise the thread without one.
+    pub fn spawn_forced<W: Write + Send + 'static>(
+        trace: TraceHandle,
+        metrics: MetricsHandle,
+        out: W,
+    ) -> ProgressLine {
+        ProgressLine::spawn_inner(trace, metrics, true, out)
     }
 
-    fn spawn_inner(trace: TraceHandle, metrics: MetricsHandle, active: bool) -> ProgressLine {
+    fn spawn_inner<W: Write + Send + 'static>(
+        trace: TraceHandle,
+        metrics: MetricsHandle,
+        active: bool,
+        mut out: W,
+    ) -> ProgressLine {
         if !active || !trace.is_enabled() || is_suppressed() {
             return ProgressLine {
                 stop: Arc::new(AtomicBool::new(true)),
@@ -86,17 +97,15 @@ impl ProgressLine {
                     continue;
                 }
                 let line = render(&trace, &metrics, SPINNER[tick % SPINNER.len()]);
-                let mut err = std::io::stderr().lock();
                 // Pad-and-return keeps a shrinking line from leaving
                 // stale characters behind.
-                let _ = write!(err, "\r{line:<70}\r");
-                let _ = err.flush();
+                let _ = out.write_all(format!("\r{line:<70}\r").as_bytes());
+                let _ = out.flush();
                 tick += 1;
                 std::thread::sleep(POLL);
             }
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\r{:70}\r", "");
-            let _ = err.flush();
+            let _ = out.write_all(format!("\r{:70}\r", "").as_bytes());
+            let _ = out.flush();
         });
         ProgressLine {
             stop,
@@ -125,50 +134,72 @@ impl Drop for ProgressLine {
 
 /// Multi-line terminal redraw for live dashboards (`aidft top`): each
 /// [`Dashboard::draw`] replaces the previously drawn block in place
-/// (cursor-up + erase-below) when stderr is a TTY, and degrades to
-/// plain appended lines in pipes and CI logs. Frames go to stderr so
-/// stdout stays machine-readable.
-pub struct Dashboard {
+/// (cursor-up + erase-below) in TTY mode, and degrades to plain
+/// appended lines in pipes and CI logs. [`Dashboard::new`] draws to
+/// stderr so stdout stays machine-readable; [`Dashboard::with_writer`]
+/// draws anywhere else.
+pub struct Dashboard<W: Write = io::Stderr> {
+    out: W,
     tty: bool,
     lines_drawn: usize,
 }
 
 impl Dashboard {
-    /// A dashboard that redraws in place when stderr is a terminal.
+    /// A dashboard on stderr that redraws in place when stderr is a
+    /// terminal.
     pub fn new() -> Dashboard {
-        Dashboard::with_tty(std::io::stderr().is_terminal())
+        let err = io::stderr();
+        let tty = err.is_terminal();
+        Dashboard::with_writer(err, tty)
     }
+}
 
-    /// Explicit TTY decision (tests, forced plain output).
-    pub fn with_tty(tty: bool) -> Dashboard {
+impl<W: Write> Dashboard<W> {
+    /// A dashboard drawing to `out`, redrawing in place when `tty`.
+    pub fn with_writer(out: W, tty: bool) -> Dashboard<W> {
         Dashboard {
+            out,
             tty,
             lines_drawn: 0,
         }
     }
 
-    /// Draws one frame, replacing the previous one in TTY mode.
+    /// Draws one frame, replacing the previous one in TTY mode. The
+    /// frame goes out in one write, so other writers to the same stream
+    /// cannot split it.
     pub fn draw(&mut self, lines: &[String]) {
-        let mut err = std::io::stderr().lock();
-        if self.tty && self.lines_drawn > 0 {
-            let _ = write!(err, "\x1b[{}A\x1b[J", self.lines_drawn);
-        }
+        let mut frame = self.erase_sequence();
         for line in lines {
-            let _ = writeln!(err, "{line}");
+            frame.push_str(line);
+            frame.push('\n');
         }
-        let _ = err.flush();
+        self.emit(&frame);
         self.lines_drawn = if self.tty { lines.len() } else { 0 };
     }
 
     /// Erases the last frame (TTY mode; a no-op in pipes, where the
     /// frames are part of the log).
     pub fn clear(&mut self) {
-        if self.tty && self.lines_drawn > 0 {
-            let mut err = std::io::stderr().lock();
-            let _ = write!(err, "\x1b[{}A\x1b[J", self.lines_drawn);
-            let _ = err.flush();
+        let erase = self.erase_sequence();
+        if !erase.is_empty() {
+            self.emit(&erase);
             self.lines_drawn = 0;
         }
+    }
+
+    /// Cursor-up over the drawn block plus erase-below, or nothing when
+    /// there is no block to replace.
+    fn erase_sequence(&self) -> String {
+        if self.tty && self.lines_drawn > 0 {
+            format!("\x1b[{}A\x1b[J", self.lines_drawn)
+        } else {
+            String::new()
+        }
+    }
+
+    fn emit(&mut self, bytes: &str) {
+        let _ = self.out.write_all(bytes.as_bytes());
+        let _ = self.out.flush();
     }
 }
 
@@ -224,7 +255,11 @@ mod tests {
 
     #[test]
     fn disabled_trace_spawns_no_thread() {
-        let p = ProgressLine::spawn_forced(TraceHandle::disabled(), MetricsHandle::disabled());
+        let p = ProgressLine::spawn_forced(
+            TraceHandle::disabled(),
+            MetricsHandle::disabled(),
+            io::sink(),
+        );
         assert!(p.thread.is_none());
         p.finish();
     }
@@ -233,7 +268,7 @@ mod tests {
     fn spawned_reporter_stops_cleanly() {
         let _lock = TTY_TESTS.lock().unwrap();
         let session = TraceSession::new(TraceConfig::phases_only());
-        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled());
+        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled(), io::sink());
         assert!(p.thread.is_some());
         std::thread::sleep(Duration::from_millis(30));
         p.finish();
@@ -245,26 +280,38 @@ mod tests {
         let session = TraceSession::new(TraceConfig::phases_only());
         set_suppressed(true);
         assert!(is_suppressed());
-        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled());
+        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled(), io::sink());
         assert!(p.thread.is_none(), "suppressed spawn must be a no-op");
         p.finish();
         set_suppressed(false);
-        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled());
+        let p = ProgressLine::spawn_forced(session.handle(), MetricsHandle::enabled(), io::sink());
         assert!(p.thread.is_some());
         p.finish();
     }
 
     #[test]
     fn dashboard_tracks_drawn_block_height() {
-        let mut d = Dashboard::with_tty(false);
+        let mut d = Dashboard::with_writer(Vec::new(), false);
         d.draw(&["a".into(), "b".into()]);
+        d.draw(&["c".into()]);
+        d.clear();
         assert_eq!(d.lines_drawn, 0, "pipes never redraw in place");
-        let mut d = Dashboard::with_tty(true);
+        assert_eq!(d.out, b"a\nb\nc\n", "pipes only append");
+
+        let mut d = Dashboard::with_writer(Vec::new(), true);
         d.draw(&["a".into(), "b".into(), "c".into()]);
         assert_eq!(d.lines_drawn, 3);
+        assert_eq!(d.out, b"a\nb\nc\n", "the first frame has nothing to erase");
+        d.out.clear();
         d.draw(&["a".into()]);
         assert_eq!(d.lines_drawn, 1);
+        assert_eq!(d.out, b"\x1b[3A\x1b[Ja\n");
+        d.out.clear();
         d.clear();
         assert_eq!(d.lines_drawn, 0);
+        assert_eq!(d.out, b"\x1b[1A\x1b[J");
+        d.out.clear();
+        d.clear();
+        assert!(d.out.is_empty(), "nothing left to erase");
     }
 }

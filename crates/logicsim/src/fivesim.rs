@@ -47,6 +47,11 @@ impl<'a> FiveSim<'a> {
         &self.sinks
     }
 
+    /// The evaluation order and gate levels [`FiveSim::simulate`] uses.
+    pub fn levelization(&self) -> &Levelization {
+        &self.lv
+    }
+
     /// Simulates `assignment` (one `Logic` per source; `X` = unassigned)
     /// with `fault` injected (or fault-free if `None`). Returns the value
     /// of every net, indexed by `GateId`.
@@ -54,77 +59,82 @@ impl<'a> FiveSim<'a> {
         assert_eq!(assignment.len(), self.sources.len(), "assignment width");
         let mut vals = vec![Logic::X; self.nl.num_gates()];
         for (s, &g) in self.sources.iter().enumerate() {
-            vals[g.index()] = assignment[s];
-        }
-        // Inject a stem fault on a source immediately.
-        if let Some(f) = fault {
-            if f.site.pin.is_none() {
-                let g = f.site.gate;
-                if matches!(self.nl.gate(g).kind, GateKind::Input | GateKind::Dff) {
-                    vals[g.index()] = inject(vals[g.index()], f.kind.stuck_value());
-                }
-            }
+            vals[g.index()] = self.source_value(s, assignment[s], fault);
         }
         let mut ins: Vec<Logic> = Vec::with_capacity(8);
         for &id in self.lv.order() {
-            let g = self.nl.gate(id);
-            if matches!(g.kind, GateKind::Input | GateKind::Dff) {
+            if matches!(self.nl.gate(id).kind, GateKind::Input | GateKind::Dff) {
                 continue;
             }
-            ins.clear();
-            ins.extend(g.fanins.iter().map(|&f| vals[f.index()]));
-            // Branch fault on one of this gate's pins?
-            if let Some(f) = fault {
-                if let FaultSite {
-                    gate,
-                    pin: Some(pin),
-                } = f.site
-                {
-                    if gate == id {
-                        ins[pin as usize] = inject(ins[pin as usize], f.kind.stuck_value());
-                    }
-                }
-            }
-            let mut v = Logic::eval_gate(g.kind, &ins);
-            // Stem fault on this gate's output?
-            if let Some(f) = fault {
-                if f.site == FaultSite::output(id) {
-                    v = inject(v, f.kind.stuck_value());
-                }
-            }
-            vals[id.index()] = v;
+            vals[id.index()] = self.eval(id, &vals, fault, &mut ins);
         }
         vals
     }
 
-    /// Observed sink values from a [`FiveSim::simulate`] result, taking the
-    /// injected fault (if it sits on a flop D pin) into account.
-    pub fn sink_values(&self, vals: &[Logic], fault: Option<Fault>) -> Vec<Logic> {
-        self.sinks
-            .iter()
-            .map(|&s| {
-                let g = self.nl.gate(s);
-                if matches!(g.kind, GateKind::Dff) {
-                    let mut v = vals[g.fanins[0].index()];
-                    if let Some(f) = fault {
-                        if f.site == FaultSite::input(s, 0) {
-                            v = inject(v, f.kind.stuck_value());
-                        }
-                    }
-                    v
-                } else {
-                    vals[s.index()]
+    /// The net value of source `s` when it is assigned `v`: `v` itself,
+    /// or `v` with the stuck-at effect injected when `fault` is a stem
+    /// fault on that source.
+    #[inline]
+    pub fn source_value(&self, s: usize, v: Logic, fault: Option<Fault>) -> Logic {
+        match fault {
+            Some(f) if f.site == FaultSite::output(self.sources[s]) => {
+                inject(v, f.kind.stuck_value())
+            }
+            _ => v,
+        }
+    }
+
+    /// The value of combinational gate `id` (not an `Input` or `Dff`)
+    /// computed from its fanins' values in `vals`, with `fault` injected
+    /// on its input pin or its output when the fault sits there. `ins` is
+    /// scratch space for the fanin values.
+    #[inline]
+    pub fn eval(
+        &self,
+        id: GateId,
+        vals: &[Logic],
+        fault: Option<Fault>,
+        ins: &mut Vec<Logic>,
+    ) -> Logic {
+        let g = self.nl.gate(id);
+        ins.clear();
+        ins.extend(g.fanins.iter().map(|&f| vals[f.index()]));
+        match fault {
+            Some(f) if f.site.gate == id => match f.site.pin {
+                // Branch fault on one of this gate's pins.
+                Some(pin) => {
+                    ins[pin as usize] = inject(ins[pin as usize], f.kind.stuck_value());
+                    Logic::eval_gate(g.kind, ins)
                 }
-            })
-            .collect()
+                // Stem fault on this gate's output.
+                None => inject(Logic::eval_gate(g.kind, ins), f.kind.stuck_value()),
+            },
+            _ => Logic::eval_gate(g.kind, ins),
+        }
+    }
+
+    /// The observed value of sink `s` from a [`FiveSim::simulate`]
+    /// result: a primary output's own value, or a flop's D-pin value
+    /// with `fault` injected when it sits on that pin.
+    #[inline]
+    pub fn sink_value(&self, s: GateId, vals: &[Logic], fault: Option<Fault>) -> Logic {
+        let g = self.nl.gate(s);
+        if !matches!(g.kind, GateKind::Dff) {
+            return vals[s.index()];
+        }
+        let v = vals[g.fanins[0].index()];
+        match fault {
+            Some(f) if f.site == FaultSite::input(s, 0) => inject(v, f.kind.stuck_value()),
+            _ => v,
+        }
     }
 
     /// `true` if any sink carries a fault effect (`D`/`D̄`) — i.e. the
     /// assignment is a test for the injected fault.
     pub fn fault_observed(&self, vals: &[Logic], fault: Option<Fault>) -> bool {
-        self.sink_values(vals, fault)
+        self.sinks
             .iter()
-            .any(|v| v.is_fault_effect())
+            .any(|&s| self.sink_value(s, vals, fault).is_fault_effect())
     }
 }
 

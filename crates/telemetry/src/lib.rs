@@ -10,7 +10,8 @@
 //! event lines; the sampler thread periodically snapshots the
 //! deterministic [`dft_metrics`] registry, deltas it
 //! ([`dft_metrics::MetricsSnapshot::delta`]) for rolling rates, and
-//! publishes a [`TelemetrySample`] that the stats listener serves as
+//! publishes a [`TelemetrySample`]. The stats listener serves that
+//! sample's rates with the gauges re-read at scrape time, as
 //! Prometheus text or stable-ordered JSON. No fleet thread ever blocks
 //! on telemetry, so enabling it cannot change a single verdict — a
 //! property the integration suites prove by byte-comparing summaries
@@ -89,6 +90,15 @@ impl Inner {
 
     pub(crate) fn published_sample(&self) -> TelemetrySample {
         self.published.read().unwrap().clone()
+    }
+
+    /// What a scrape serves: the last published sample's rates and
+    /// counters with every gauge read fresh, so a scrape never lags a
+    /// gauge update (such as `begin_fleet`) by a sampler period.
+    pub(crate) fn current_sample(&self) -> TelemetrySample {
+        let mut sample = self.published_sample();
+        sampler::refresh_gauges(self, &mut sample);
+        sample
     }
 
     pub(crate) fn count_scrape(&self) {

@@ -17,7 +17,8 @@ use dft_metrics::{bucket_bounds, HISTOGRAM_BUCKETS};
 pub const STATS_SCHEMA: &str = "aidft-stats-v1";
 
 /// One published snapshot of the live fleet, assembled by the sampler
-/// thread and served verbatim by the stats endpoint.
+/// thread and served by the stats endpoint with its gauge fields
+/// re-read at scrape time.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TelemetrySample {
     /// Sampler tick ordinal (0 is the synchronous startup sample).

@@ -41,8 +41,17 @@ pub(crate) fn take_sample(inner: &Inner, metrics: &MetricsHandle, history: &mut 
         histograms: Vec::new(),
         timers: Vec::new(),
     });
-    let g = &inner.gauges;
-    let dies_done = g.dies_done();
+    let mut sample = TelemetrySample {
+        seq: inner.next_sample_seq(),
+        counters: snap
+            .counters
+            .iter()
+            .map(|(n, v)| ((*n).to_owned(), *v))
+            .collect(),
+        ..TelemetrySample::default()
+    };
+    refresh_gauges(inner, &mut sample);
+    let dies_done = sample.dies_done;
     history.push_back((now, dies_done, snap.clone()));
     while history.len() > 2 && now.duration_since(history[1].0) >= RATE_WINDOW {
         history.pop_front();
@@ -59,43 +68,40 @@ pub(crate) fn take_sample(inner: &Inner, metrics: &MetricsHandle, history: &mut 
     } else {
         (0.0, 0.0)
     };
-    let peak = inner.update_peak(dies_per_sec);
+    sample.dies_per_sec = dies_per_sec;
+    sample.signatures_per_sec = signatures_per_sec;
+    sample.peak_dies_per_sec = inner.update_peak(dies_per_sec);
+    inner.publish(sample);
+}
 
+/// Overwrites `sample`'s gauge fields (uptime, fleet shape and progress,
+/// sessions, breaker states, latency histograms and their quantiles,
+/// scrape count) with the live values. The gauges are lock-free atomics,
+/// so this is cheap enough to run on every scrape.
+pub(crate) fn refresh_gauges(inner: &Inner, sample: &mut TelemetrySample) {
+    let g = &inner.gauges;
     let window_buckets = g.window_latency_us.buckets();
     let signature_buckets = g.signature_latency_us.buckets();
     let q = |b: &[u64; dft_metrics::HISTOGRAM_BUCKETS], p: f64| {
         histogram_quantile(b, p).unwrap_or(f64::NAN)
     };
-
-    let sample = TelemetrySample {
-        seq: inner.next_sample_seq(),
-        uptime_ms: inner.uptime_ms(),
-        design: g.design(),
-        dies: g.dies_total(),
-        dies_done,
-        windows_per_die: g.windows_per_die(),
-        sessions_active: g.sessions_active(),
-        windows_in_flight: g.windows_in_flight(),
-        closed: g.state_count(SessionState::Closed),
-        backoff: g.state_count(SessionState::Backoff),
-        quarantined: g.state_count(SessionState::Quarantined),
-        dies_per_sec,
-        signatures_per_sec,
-        peak_dies_per_sec: peak,
-        window_p50_us: q(&window_buckets, 0.50),
-        window_p99_us: q(&window_buckets, 0.99),
-        signature_p50_us: q(&signature_buckets, 0.50),
-        signature_p99_us: q(&signature_buckets, 0.99),
-        window_buckets,
-        signature_buckets,
-        scrapes: inner.scrapes(),
-        counters: snap
-            .counters
-            .iter()
-            .map(|(n, v)| ((*n).to_owned(), *v))
-            .collect(),
-    };
-    inner.publish(sample);
+    sample.uptime_ms = inner.uptime_ms();
+    sample.design = g.design();
+    sample.dies = g.dies_total();
+    sample.dies_done = g.dies_done();
+    sample.windows_per_die = g.windows_per_die();
+    sample.sessions_active = g.sessions_active();
+    sample.windows_in_flight = g.windows_in_flight();
+    sample.closed = g.state_count(SessionState::Closed);
+    sample.backoff = g.state_count(SessionState::Backoff);
+    sample.quarantined = g.state_count(SessionState::Quarantined);
+    sample.window_p50_us = q(&window_buckets, 0.50);
+    sample.window_p99_us = q(&window_buckets, 0.99);
+    sample.signature_p50_us = q(&signature_buckets, 0.50);
+    sample.signature_p99_us = q(&signature_buckets, 0.99);
+    sample.window_buckets = window_buckets;
+    sample.signature_buckets = signature_buckets;
+    sample.scrapes = inner.scrapes();
 }
 
 /// Handle to the running sampler thread; `stop` takes a final sample,

@@ -1,11 +1,11 @@
 //! The scrape endpoint: a minimal HTTP/1.0 listener serving the
-//! published [`crate::TelemetrySample`].
+//! published [`crate::TelemetrySample`] with its gauges read fresh.
 //!
 //! Routes: `/metrics` returns Prometheus text exposition,
 //! `/stats.json` (or `/`) returns the stable-ordered JSON payload.
-//! The server reads only the already-published sample behind an
-//! `RwLock` — a scrape never touches fleet state, so scraping at any
-//! rate cannot perturb the run. One handler thread, short per-connection
+//! The server reads the already-published sample behind an `RwLock`
+//! and overlays the live gauge atomics — a scrape only reads fleet
+//! state, so scraping at any rate cannot perturb the run. One handler thread, short per-connection
 //! timeouts, `Connection: close`: this is an operator endpoint for
 //! `curl`, Prometheus, and `aidft top`, not a general web server.
 
@@ -117,12 +117,12 @@ fn serve_one(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            inner.published_sample().to_prometheus(),
+            inner.current_sample().to_prometheus(),
         ),
         "/" | "/stats.json" | "/json" => (
             "200 OK",
             "application/json",
-            inner.published_sample().to_json(),
+            inner.current_sample().to_json(),
         ),
         _ => (
             "404 Not Found",
