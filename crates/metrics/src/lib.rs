@@ -338,7 +338,7 @@ registry! {
         serve_retests: "Retest windows streamed to failing dies.",
         serve_harvested: "Failing dies that shipped degraded through the harvest path.",
         serve_conn_drops: "Die connections dropped (chaos-injected or real).",
-        serve_torn_frames: "Torn frames detected by the codec (chaos-injected or real).",
+        serve_torn_frames: "Torn frames detected by the codec (chaos-injected or real). Not deterministic under chaos: a server that closes with unread bytes may reset the connection, and the die then reports an I/O error instead of a torn frame.",
         serve_resumes: "Fleet runs resumed from a serve checkpoint journal.",
         serve_retries: "Die reconnect attempts that went through the backoff schedule.",
         serve_backoff_ns: "Nanoseconds of deterministic reconnect backoff slept by die clients.",

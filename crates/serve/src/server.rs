@@ -2,10 +2,10 @@
 //!
 //! [`run_fleet`] binds a loopback listener, spawns one session thread
 //! per accepted die connection, and drives the configured number of
-//! client worker threads through the die queue. Each session streams
-//! pattern windows through a **bounded** channel (at most
-//! [`WINDOW_PIPELINE`] windows in flight per die), so a slow or
-//! chaos-delayed die stalls only its own pipeline, never the broadcast.
+//! client worker threads through the die queue. Each session writes
+//! pattern windows and verifies their uploads itself, with at most
+//! [`WINDOW_PIPELINE`] unverified windows per die, so a slow or
+//! chaos-delayed die stalls only its own session, never the broadcast.
 //! Failing dies get an adaptive retest pass, then route through the
 //! BISR/harvest path for a ship grade. Fleet state checkpoints to an
 //! `aidft-serve-v2` journal; cancellation and `AIDFT_CHAOS` faults
@@ -25,7 +25,6 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -47,8 +46,8 @@ use crate::stimulus::{ServeConfig, ServedStimulus};
 /// matrix can never park a session thread indefinitely.
 const MAX_STALL: Duration = Duration::from_secs(1);
 
-/// Windows in flight per die session before the writer blocks — the
-/// bounded-channel backpressure knob.
+/// Windows in flight per die session before the session verifies the
+/// oldest upload — the per-die backpressure bound.
 pub(crate) const WINDOW_PIPELINE: usize = 4;
 
 /// Everything [`run_fleet`] needs besides the design and config.
@@ -278,164 +277,160 @@ fn harvest_grade(shared: &Shared<'_>, die_id: u32) -> ShipGrade {
     plan.grade
 }
 
-/// The signature-verifying half of a session: consumes `(window,
-/// retest)` tickets in stream order, reads the matching upload, checks
-/// it against golden, and updates the die's progress. A slow die may
-/// interleave [`Frame::Heartbeat`]s before each signature; more than
+/// Reads and checks the upload for one sent window, `(window, retest,
+/// sent_at)`, and updates the die's progress. A slow die may
+/// interleave [`Frame::Heartbeat`]s before the signature; more than
 /// `max_heartbeats` consecutive ones means the peer is idle, not slow,
 /// and the reaper closes the session.
-fn verify_uploads(
+fn verify_upload(
     shared: &Shared<'_>,
     die_id: u32,
     reader: &mut impl Read,
-    rx: Receiver<(u32, bool, Option<Instant>)>,
-    settled: &AtomicU64,
+    (w, retest, sent_at): (u32, bool, Option<Instant>),
 ) -> Result<(), FrameError> {
     let tele = &shared.opts.telemetry;
-    for (w, retest, sent_at) in rx {
-        let read_start = tele.is_enabled().then(Instant::now);
-        let mut heartbeats = 0u32;
-        let (did, window_idx, bits) = loop {
-            match read_frame(reader)? {
-                Frame::Heartbeat { die_id: did } => {
-                    if did != die_id {
-                        return Err(FrameError::BadPayload("heartbeat from wrong die"));
-                    }
-                    heartbeats += 1;
-                    if heartbeats > shared.cfg.max_heartbeats {
-                        if let Some(m) = shared.opts.metrics.get() {
-                            m.serve_idle_reaps.inc();
-                        }
-                        return Err(FrameError::Timeout);
-                    }
+    let read_start = tele.is_enabled().then(Instant::now);
+    let mut heartbeats = 0u32;
+    let (did, window_idx, bits) = loop {
+        match read_frame(reader)? {
+            Frame::Heartbeat { die_id: did } => {
+                if did != die_id {
+                    return Err(FrameError::BadPayload("heartbeat from wrong die"));
                 }
-                Frame::Signature {
-                    die_id,
-                    window_idx,
-                    bits,
-                } => break (die_id, window_idx, bits),
-                _ => return Err(FrameError::BadPayload("expected Signature")),
+                heartbeats += 1;
+                if heartbeats > shared.cfg.max_heartbeats {
+                    if let Some(m) = shared.opts.metrics.get() {
+                        m.serve_idle_reaps.inc();
+                    }
+                    return Err(FrameError::Timeout);
+                }
             }
-        };
-        if did != die_id || window_idx != w {
-            return Err(FrameError::BadPayload("signature out of order"));
+            Frame::Signature {
+                die_id,
+                window_idx,
+                bits,
+            } => break (die_id, window_idx, bits),
+            _ => return Err(FrameError::BadPayload("expected Signature")),
         }
-        if bits.len() != shared.stim.misr_width {
-            return Err(FrameError::BadPayload("signature width mismatch"));
-        }
-        let matched = bits == shared.stim.golden_sigs[w as usize];
-        let mut prog = shared.progress.lock().unwrap();
-        let p = prog.get_mut(&die_id).expect("progress entry");
-        p.sigs[w as usize] = Some(bits);
-        if !matched {
-            p.mismatched.insert(w);
-        }
-        if !retest {
-            p.verified = p.verified.max(w + 1);
-        }
-        drop(prog);
-        if let Some(m) = shared.opts.metrics.get() {
-            m.serve_signatures.inc();
-            if !matched {
-                m.serve_mismatches.inc();
-            }
-        }
-        if let Some(at) = sent_at {
-            tele.record_window_latency_us(at.elapsed().as_micros() as u64);
-        }
-        if let Some(at) = read_start {
-            tele.record_signature_latency_us(at.elapsed().as_micros() as u64);
-        }
-        tele.windows_settled(1);
-        settled.fetch_add(1, Ordering::Relaxed);
+    };
+    if did != die_id || window_idx != w {
+        return Err(FrameError::BadPayload("signature out of order"));
     }
+    if bits.len() != shared.stim.misr_width {
+        return Err(FrameError::BadPayload("signature width mismatch"));
+    }
+    let matched = bits == shared.stim.golden_sigs[w as usize];
+    let mut prog = shared.progress.lock().unwrap();
+    let p = prog.get_mut(&die_id).expect("progress entry");
+    p.sigs[w as usize] = Some(bits);
+    if !matched {
+        p.mismatched.insert(w);
+    }
+    if !retest {
+        p.verified = p.verified.max(w + 1);
+    }
+    drop(prog);
+    if let Some(m) = shared.opts.metrics.get() {
+        m.serve_signatures.inc();
+        if !matched {
+            m.serve_mismatches.inc();
+        }
+    }
+    if let Some(at) = sent_at {
+        tele.record_window_latency_us(at.elapsed().as_micros() as u64);
+    }
+    if let Some(at) = read_start {
+        tele.record_signature_latency_us(at.elapsed().as_micros() as u64);
+    }
+    tele.windows_settled(1);
     Ok(())
 }
 
-/// Streams `windows` to the die with bounded in-flight backpressure,
-/// verifying uploads concurrently. Chaos may drop the connection or
+/// Streams `windows` to the die, verifying the oldest upload whenever
+/// [`WINDOW_PIPELINE`] are unverified. Chaos may drop the connection or
 /// tear a frame mid-stream; cancellation is polled at every window.
+/// Windows already sent are verified before any error returns, and a
+/// verify error wins over the write error.
 fn stream_windows(
     shared: &Shared<'_>,
     die_id: u32,
     attempt: u64,
     windows: &[(u32, bool)],
-    reader: &mut (impl Read + Send),
+    reader: &mut impl Read,
     writer: &mut impl Write,
 ) -> Result<(), FrameError> {
     let tele = &shared.opts.telemetry;
-    let settled = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        let (tx, rx): (SyncSender<(u32, bool, Option<Instant>)>, _) =
-            std::sync::mpsc::sync_channel(WINDOW_PIPELINE);
-        let verifier = s.spawn(|| verify_uploads(shared, die_id, reader, rx, &settled));
-        let mut sent = 0u64;
-        let mut write_result: Result<(), FrameError> = Ok(());
-        for &(w, retest) in windows {
-            if shared.opts.cancel.poll() {
-                shared.interrupted.store(true, Ordering::SeqCst);
-                write_result = Err(FrameError::Torn);
-                break;
+    // Verifies the oldest uploads until at most `keep` are in flight. A
+    // bad upload ends the stream: it and the tickets behind it leave the
+    // in-flight gauge unverified.
+    let mut verify_until = |in_flight: &mut VecDeque<_>, keep| {
+        while in_flight.len() > keep {
+            if let Err(e) = verify_upload(shared, die_id, reader, in_flight[0]) {
+                tele.windows_settled(in_flight.len() as u64);
+                return Err(e);
             }
-            let ordinal = (u64::from(die_id) << 32) | (attempt << 16) | u64::from(w);
-            // Chaos: a stalled tester. The stream goes silent past the
-            // client's deadline, then tears — the die surfaces
-            // `Timeout` (deadline armed) or `Torn` (EOF), both
-            // recoverable, neither visible in state.
-            if shared.opts.chaos.fires(ChaosSite::StallServer, ordinal) {
-                bridge::mark_chaos(&shared.opts.trace, tele, "stall-server", die_id, ordinal);
-                std::thread::sleep(shared.opts.chaos.stall.min(MAX_STALL));
-                write_result = Err(FrameError::Timeout);
-                break;
-            }
-            if shared.opts.chaos.fires(ChaosSite::DropConn, ordinal) {
-                if let Some(m) = shared.opts.metrics.get() {
-                    m.serve_conn_drops.inc();
-                }
-                bridge::mark_chaos(&shared.opts.trace, tele, "drop-conn", die_id, ordinal);
-                write_result = Err(FrameError::Torn);
-                break;
-            }
-            let frame = Frame::Window {
-                window_idx: w,
-                retest,
-                stimuli: shared.stim.windows[w as usize].clone(),
-            };
-            if shared.opts.chaos.fires(ChaosSite::TornFrame, ordinal) {
-                if let Some(m) = shared.opts.metrics.get() {
-                    m.serve_torn_frames.inc();
-                }
-                bridge::mark_chaos(&shared.opts.trace, tele, "torn-frame", die_id, ordinal);
-                write_result = write_frame_torn(writer, &frame)
-                    .map_err(FrameError::from)
-                    .and(Err(FrameError::Torn));
-                break;
-            }
-            if let Err(e) = write_frame(writer, &frame) {
-                write_result = Err(FrameError::from(e));
-                break;
-            }
+            in_flight.pop_front();
+        }
+        Ok(())
+    };
+    let mut in_flight = VecDeque::with_capacity(WINDOW_PIPELINE);
+    let mut write_result: Result<(), FrameError> = Ok(());
+    for &(w, retest) in windows {
+        verify_until(&mut in_flight, WINDOW_PIPELINE - 1)?;
+        if shared.opts.cancel.poll() {
+            shared.interrupted.store(true, Ordering::SeqCst);
+            write_result = Err(FrameError::Torn);
+            break;
+        }
+        let ordinal = (u64::from(die_id) << 32) | (attempt << 16) | u64::from(w);
+        // Chaos: a stalled tester. The stream goes silent past the client's
+        // deadline, then tears — the die surfaces `Timeout` (deadline armed)
+        // or `Torn` (EOF), both recoverable, neither visible in state.
+        // Verify first, so the die's resume point is settled in time.
+        if shared.opts.chaos.fires(ChaosSite::StallServer, ordinal) {
+            bridge::mark_chaos(&shared.opts.trace, tele, "stall-server", die_id, ordinal);
+            verify_until(&mut in_flight, 0)?;
+            std::thread::sleep(shared.opts.chaos.stall.min(MAX_STALL));
+            write_result = Err(FrameError::Timeout);
+            break;
+        }
+        if shared.opts.chaos.fires(ChaosSite::DropConn, ordinal) {
             if let Some(m) = shared.opts.metrics.get() {
-                m.serve_windows.inc();
-                if retest {
-                    m.serve_retests.inc();
-                }
+                m.serve_conn_drops.inc();
             }
-            let sent_at = tele.is_enabled().then(Instant::now);
-            tele.window_sent();
-            sent += 1;
-            if tx.send((w, retest, sent_at)).is_err() {
-                // Verifier bailed (torn upload); its error wins below.
-                break;
+            bridge::mark_chaos(&shared.opts.trace, tele, "drop-conn", die_id, ordinal);
+            write_result = Err(FrameError::Torn);
+            break;
+        }
+        let frame = Frame::Window {
+            window_idx: w,
+            retest,
+            stimuli: shared.stim.windows[w as usize].clone(),
+        };
+        if shared.opts.chaos.fires(ChaosSite::TornFrame, ordinal) {
+            if let Some(m) = shared.opts.metrics.get() {
+                m.serve_torn_frames.inc();
+            }
+            bridge::mark_chaos(&shared.opts.trace, tele, "torn-frame", die_id, ordinal);
+            write_result = write_frame_torn(writer, &frame)
+                .map_err(FrameError::from)
+                .and(Err(FrameError::Torn));
+            break;
+        }
+        if let Err(e) = write_frame(writer, &frame) {
+            write_result = Err(FrameError::from(e));
+            break;
+        }
+        if let Some(m) = shared.opts.metrics.get() {
+            m.serve_windows.inc();
+            if retest {
+                m.serve_retests.inc();
             }
         }
-        drop(tx);
-        let verify_result = verifier.join().expect("verifier never panics");
-        // Tickets abandoned with a dying session still leave the
-        // in-flight gauge (the verifier settles the processed ones).
-        tele.windows_settled(sent.saturating_sub(settled.load(Ordering::Relaxed)));
-        verify_result.and(write_result)
-    })
+        in_flight.push_back((w, retest, tele.is_enabled().then(Instant::now)));
+        tele.window_sent();
+    }
+    verify_until(&mut in_flight, 0).and(write_result)
 }
 
 /// One accepted connection: handshake, stream remaining windows, retest
@@ -664,33 +659,25 @@ pub fn run_fleet(
     };
 
     let listener = TcpListener::bind("127.0.0.1:0").map_err(ServeError::Io)?;
-    listener.set_nonblocking(true).map_err(ServeError::Io)?;
     let addr = listener.local_addr().map_err(ServeError::Io)?;
     let queue = Mutex::new(pending);
 
     let start = Instant::now();
     let _t = opts.trace.phase_span("serve_fleet");
     std::thread::scope(|s| {
-        // Acceptor: one session thread per connection, drained on
-        // shutdown.
+        // Acceptor: blocks in `accept`, one session thread per
+        // connection. Once `shutdown` is set, the connection that woke
+        // it gets no session.
         let shared_ref = &shared;
-        s.spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    s.spawn(move || {
-                        if session(shared_ref, stream).is_err() {
-                            // Recoverable: the die reconnects and the
-                            // session resumes from its verified windows.
-                        }
-                    });
+        let acceptor = s.spawn(move || {
+            for stream in listener.incoming() {
+                if shared_ref.shutdown.load(Ordering::SeqCst) {
+                    return;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if shared_ref.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => return,
+                let Ok(stream) = stream else { return };
+                // Errors are recoverable: the die reconnects and the
+                // session resumes from its verified windows.
+                s.spawn(move || session(shared_ref, stream).ok());
             }
         });
 
@@ -757,6 +744,12 @@ pub fn run_fleet(
             let _ = w.join();
         }
         shared.shutdown.store(true, Ordering::SeqCst);
+        // Wake the acceptor with a self-connect. That fails only for
+        // want of a descriptor or port, so retry until it lands or the
+        // acceptor has exited; the scope never waits on a parked accept.
+        while !acceptor.is_finished() && TcpStream::connect(addr).is_err() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     });
     let wall = start.elapsed();
 

@@ -10,7 +10,7 @@
 //! `curl`, Prometheus, and `aidft top`, not a general web server.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -20,9 +20,6 @@ use crate::Inner;
 
 /// Per-connection read/write timeout.
 const CONN_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Accept-loop poll interval while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// The running scrape listener; dropped (or stopped) when the
 /// telemetry session finishes.
@@ -38,20 +35,20 @@ impl StatsServer {
     /// starts the accept loop.
     pub(crate) fn bind(addr: &str, inner: Arc<Inner>) -> io::Result<StatsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let thread = thread::Builder::new()
             .name("aidft-stats".into())
             .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => handle_conn(stream, &inner),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => thread::sleep(ACCEPT_POLL),
+                for conn in listener.incoming() {
+                    if flag.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    match conn {
+                        Ok(stream) => handle_conn(stream, &inner),
+                        // Out of descriptors, say: back off, never spin.
+                        Err(_) => thread::sleep(CONN_TIMEOUT),
                     }
                 }
             })
@@ -68,10 +65,21 @@ impl StatsServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins the thread.
+    /// Stops the accept loop: sets the flag, wakes the blocked `accept`
+    /// with a self-connect, retried until it lands or the thread exits.
     pub(crate) fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         if let Some(t) = self.thread.take() {
+            while !t.is_finished() && TcpStream::connect(wake).is_err() {
+                thread::sleep(Duration::from_millis(1));
+            }
             let _ = t.join();
         }
     }
@@ -86,9 +94,6 @@ fn handle_conn(stream: TcpStream, inner: &Inner) {
 fn serve_one(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     stream.set_read_timeout(Some(CONN_TIMEOUT))?;
     stream.set_write_timeout(Some(CONN_TIMEOUT))?;
-    // Nonblocking is inherited from the listener on some platforms;
-    // switch the accepted socket back to blocking so the timeouts rule.
-    stream.set_nonblocking(false)?;
     let mut buf = [0u8; 1024];
     let mut req = Vec::new();
     loop {
