@@ -55,6 +55,12 @@ impl FaultDictionary {
         self.faults.is_empty()
     }
 
+    /// Number of distinct signatures: faults sharing one are
+    /// indistinguishable by this pattern set.
+    pub fn num_classes(&self) -> usize {
+        self.index.len()
+    }
+
     /// Storage cost of the pass/fail dictionary in bits
     /// (`faults x patterns` — the classic blowup figure).
     pub fn size_bits(&self) -> u64 {

@@ -11,12 +11,19 @@
 //! AIDFT_BLESS_GOLDEN=1 cargo test -p dft-core --test golden_serve -- --nocapture
 //! ```
 //!
-//! and paste the printed literal over `GOLDEN_FLEET`.
+//! and paste the printed literals over `GOLDEN_FLEET` and
+//! `GOLDEN_DIE_SIGNATURES`.
 
+use dft_core::checkpoint::fnv1a;
 use dft_core::config::KernelKind;
+use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::benchmark_suite;
 use dft_core::netlist::Netlist;
-use dft_core::serve::{run_fleet, FleetSummary, ServeConfig, ServeOpts};
+use dft_core::serve::{
+    die_reference_signatures, run_fleet, DieSim, FleetSummary, ServeConfig, ServeOpts,
+    ServedStimulus,
+};
+use dft_core::trace::TraceHandle;
 
 /// Expected summary for the golden fleet (16 dies of mac4, default
 /// seed/rate/windows). `windows_per_die` is part of the lock: it moves
@@ -95,6 +102,45 @@ fn golden_fleet_summary_both_kernels() {
         .unwrap()
         .summary;
     assert_eq!(legacy, GOLDEN_FLEET, "legacy-kernel fleet summary");
+}
+
+/// FNV-1a digest of every golden die's reference window signatures.
+/// `GOLDEN_FLEET` pins only counts, so this is what catches a wrong
+/// defective-die response.
+const GOLDEN_DIE_SIGNATURES: u64 = 0xccd801bca163d2ff;
+
+#[test]
+fn golden_die_reference_signatures() {
+    let nl = mac4();
+    let cfg = ServeConfig {
+        dies: 16,
+        client_threads: 2,
+        ..ServeConfig::default()
+    };
+    let stim = ServedStimulus::build(
+        &nl,
+        &cfg,
+        &MetricsHandle::disabled(),
+        &TraceHandle::disabled(),
+    );
+    let sim = DieSim::new(&nl, &stim);
+    let mut bytes = Vec::new();
+    for die in 0..cfg.dies as u32 {
+        for sig in die_reference_signatures(&stim, &sim, &cfg, die) {
+            bytes.extend(sig.iter().map(|&b| u8::from(b)));
+            bytes.push(0xFF);
+        }
+    }
+    let digest = fnv1a(&bytes);
+    if bless_mode() {
+        println!("const GOLDEN_DIE_SIGNATURES: u64 = {digest:#018x};");
+        return;
+    }
+    assert_eq!(
+        digest, GOLDEN_DIE_SIGNATURES,
+        "die reference signatures drifted — if intentional, re-bless \
+         with AIDFT_BLESS_GOLDEN=1 (see file header)"
+    );
 }
 
 /// The rendered report is part of the stable CLI surface (CI diffs it
