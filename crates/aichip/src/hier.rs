@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use dft_atpg::{Atpg, AtpgConfig};
 use dft_fault::{universe_stuck_at, FaultList};
-use dft_logicsim::{AnyKernel, Executor, SimKernel};
+use dft_logicsim::{Executor, SimKernel, TapeKernel};
 use dft_netlist::Netlist;
 use dft_scan::{insert_scan, ScanConfig, TestTimeModel};
 use dft_trace::TraceHandle;
@@ -119,7 +119,7 @@ pub fn hierarchical_plan_traced(
     // independent simulation, fanned out across `cfg.threads` workers.
     let universe = universe_stuck_at(core);
     // Compile the kernel once; every core screens against the same tape.
-    let sim = AnyKernel::compile(core);
+    let sim = TapeKernel::compile(core);
     let exec = Executor::with_threads(cfg.threads);
     let cores: Vec<usize> = (0..cfg.num_cores).collect();
     let _verify = trace.span_arg("broadcast_verify", cfg.num_cores as u64);
@@ -207,7 +207,7 @@ pub fn broadcast_screen_traced(
     let run = Atpg::new(core).with_trace(trace.clone()).run(atpg);
     let universe = universe_stuck_at(core);
     // Compile the kernel once; every core screens against the same tape.
-    let sim = AnyKernel::compile(core);
+    let sim = TapeKernel::compile(core);
     let exec = Executor::with_threads(cfg.threads);
     let cores: Vec<usize> = (0..cfg.num_cores).collect();
     exec.map(&cores, |_, &core_idx| {

@@ -127,7 +127,7 @@ pub fn wrap_core(core: &Netlist) -> WrappedCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_logicsim::{GoodSim, PatternSet};
+    use dft_logicsim::{PatternSet, SimKernel, TapeKernel};
     use dft_netlist::generators::{mac_pe, ripple_adder};
     use dft_netlist::Levelization;
 
@@ -137,21 +137,25 @@ mod tests {
         let wrapped = wrap_core(&core);
         wrapped.netlist.validate().unwrap();
         Levelization::compute(&wrapped.netlist).unwrap();
-        let sim_core = GoodSim::new(&core);
-        let sim_wrap = GoodSim::new(&wrapped.netlist);
         let ps = PatternSet::random(&core, 32, 7);
-        for p in ps.iter() {
-            // Wrapped pattern: original PIs, then wmode0=0, wmode1=0,
-            // wbr_si=0, then boundary flop states (X -> 0).
-            let mut wp = p.clone();
-            wp.resize(
-                wrapped.netlist.num_inputs() + wrapped.netlist.num_dffs(),
-                false,
-            );
-            let r_core = sim_core.simulate(p);
-            let r_wrap = sim_wrap.simulate(&wp);
+        // Wrapped pattern: original PIs, then wmode0=0, wmode1=0,
+        // wbr_si=0, then boundary flop states (X -> 0).
+        let wrapped_ps: PatternSet = ps
+            .iter()
+            .map(|p| {
+                let mut wp = p.clone();
+                wp.resize(
+                    wrapped.netlist.num_inputs() + wrapped.netlist.num_dffs(),
+                    false,
+                );
+                wp
+            })
+            .collect();
+        let r_core = TapeKernel::compile(&core).eval_batch(&ps);
+        let r_wrap = TapeKernel::compile(&wrapped.netlist).eval_batch(&wrapped_ps);
+        for (c, w) in r_core.iter().zip(&r_wrap) {
             // Original PO responses are the prefix of the wrapped ones.
-            assert_eq!(&r_wrap[..r_core.len()], &r_core[..]);
+            assert_eq!(&w[..c.len()], &c[..]);
         }
     }
 
@@ -174,7 +178,6 @@ mod tests {
         let core = ripple_adder(2);
         let wrapped = wrap_core(&core);
         let nl = &wrapped.netlist;
-        let sim = GoodSim::new(nl);
         let width = nl.num_inputs() + nl.num_dffs();
         let wmode0 = nl.find("wmode0").unwrap();
         let sources = nl.combinational_sources();
@@ -187,8 +190,8 @@ mod tests {
             let i = idx_of(nl.find(&core.gate(pi).name).unwrap());
             p2[i] = true;
         }
-        let r1 = sim.simulate(&p1);
-        let r2 = sim.simulate(&p2);
+        let r = TapeKernel::compile(nl).eval_batch(&[p1, p2].into_iter().collect());
+        let (r1, r2) = (&r[0], &r[1]);
         // Core POs (prefix) must be identical: the pins are isolated.
         assert_eq!(&r1[..core.num_outputs()], &r2[..core.num_outputs()]);
     }

@@ -8,7 +8,7 @@
 //!   in reverse order and drop patterns that detect nothing new.
 
 use dft_fault::FaultList;
-use dft_logicsim::{AnyKernel, Executor, PatternSet, SimKernel, TestCube};
+use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel, TestCube};
 use dft_netlist::Netlist;
 
 /// Greedily merges compatible cubes (first-fit). Returns the merged cube
@@ -32,7 +32,7 @@ pub fn reverse_order_compaction(
     patterns: &PatternSet,
     faults: Vec<dft_fault::Fault>,
 ) -> PatternSet {
-    let sim = AnyKernel::compile(nl);
+    let sim = TapeKernel::compile(nl);
     let exec = Executor::serial();
     let mut list = FaultList::new(faults);
     let mut keep = vec![false; patterns.len()];
@@ -93,7 +93,7 @@ mod tests {
             .collect();
         let merged = compact_cubes(&cubes);
         assert!(merged.len() < cubes.len());
-        let sim = AnyKernel::compile(&nl);
+        let sim = TapeKernel::compile(&nl);
         let patterns: PatternSet = merged.iter().map(|c| c.fill_with(false)).collect();
         let mut list = FaultList::new(faults);
         sim.fault_batch(&patterns, &mut list, &Executor::serial());
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn reverse_compaction_never_loses_coverage() {
         let nl = c17();
-        let sim = AnyKernel::compile(&nl);
+        let sim = TapeKernel::compile(&nl);
         let exec = Executor::serial();
         let ps = PatternSet::random(&nl, 64, 13);
         let mut before = FaultList::new(universe_stuck_at(&nl));

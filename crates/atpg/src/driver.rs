@@ -20,7 +20,7 @@ use dft_checkpoint::{
     CkptStatus, Journal,
 };
 use dft_fault::{collapse_equivalent, universe_stuck_at, Fault, FaultList, FaultStatus};
-use dft_logicsim::{AnyKernel, Executor, PatternSet, SimKernel, TestCube};
+use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel, TestCube};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
@@ -85,7 +85,7 @@ pub struct AtpgConfig {
     /// (or no) deadline.
     pub deadline_ms: u64,
     /// Test-only hook, forwarded to
-    /// [`dft_logicsim::FaultSim::with_poisoned_fault`]: every
+    /// [`dft_logicsim::TapeKernel::with_poisoned_fault`]: every
     /// fault-simulation pass panics on this fault's batch, exercising
     /// the panic-isolation path end to end (the run completes; the lost
     /// batches are counted in [`AtpgRun::failed_sim_batches`]). Never
@@ -778,7 +778,7 @@ impl<'a> Atpg<'a> {
         // Compile the simulation kernel once per run; the span is the
         // timing source for the reported compile phase.
         let t_compile = self.trace.timed_span("sim_compile");
-        let compiled = AnyKernel::compile(self.nl);
+        let compiled = TapeKernel::compile(self.nl);
         let compile_time = t_compile.finish();
         let mut sim = compiled
             .with_metrics(self.metrics.clone())
@@ -1091,7 +1091,7 @@ impl<'a> Atpg<'a> {
         config: &AtpgConfig,
         podem: &Podem<'_>,
         dalg: &DAlgorithm<'_>,
-        sim: &AnyKernel<'_>,
+        sim: &TapeKernel<'_>,
         w: &mut Working,
         dur: &mut Option<DurCtx<'_>>,
         round: u32,

@@ -10,7 +10,7 @@
 //! broadside launch condition.
 
 use dft_fault::{Fault, FaultKind, FaultList, FaultSite, FaultStatus};
-use dft_logicsim::{broadside_pairs, AnyKernel, Executor, PatternSet, SimKernel};
+use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 use dft_netlist::{GateId, GateKind, Netlist};
 
 use crate::{AtpgResult, Podem};
@@ -142,7 +142,7 @@ impl<'a> TransitionAtpg<'a> {
         backtrack_limit: u32,
         seed: u64,
     ) -> TransitionAtpgRun {
-        let tsim = AnyKernel::compile(self.nl);
+        let tsim = TapeKernel::compile(self.nl);
         let exec = Executor::serial();
         let mut list = FaultList::new(universe);
 
@@ -150,7 +150,7 @@ impl<'a> TransitionAtpg<'a> {
         let mut pairs: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
         if random_pairs > 0 {
             let ps = PatternSet::random(self.nl, random_pairs, seed);
-            pairs = broadside_pairs(self.nl, &ps);
+            pairs = tsim.broadside_pairs(&ps);
             tsim.transition_batch(&pairs, &mut list, &exec);
         }
 
@@ -201,7 +201,7 @@ impl<'a> TransitionAtpg<'a> {
                     let launch_vec = self.project_pattern(&exp_pattern, &exp_sources);
                     let mut single = PatternSet::for_netlist(self.nl);
                     single.push(launch_vec);
-                    let new_pairs = broadside_pairs(self.nl, &single);
+                    let new_pairs = tsim.broadside_pairs(&single);
                     tsim.transition_batch(&new_pairs, &mut list, &exec);
                     if !list.status(idx).is_detected() {
                         // Two-frame model and pair simulation disagree —
@@ -326,15 +326,15 @@ mod tests {
         let nl = s27();
         let atpg = TransitionAtpg::new(&nl);
         let run = atpg.run(universe_transition(&nl), 8, 200, 5);
-        let tsim = dft_logicsim::TransitionSim::new(&nl);
+        let kernel = TapeKernel::compile(&nl);
         for i in 0..run.fault_list.len() {
             if let FaultStatus::Detected(p) = run.fault_list.status(i) {
-                let (l, c) = &run.pairs[p as usize];
-                assert!(
-                    tsim.detects(l, c, run.fault_list.faults()[i]),
-                    "fault {} pair {p}",
-                    run.fault_list.faults()[i]
-                );
+                // Re-simulate the detecting pair alone.
+                let fault = run.fault_list.faults()[i];
+                let mut single = FaultList::new(vec![fault]);
+                let pair = &run.pairs[p as usize..=p as usize];
+                kernel.transition_batch(pair, &mut single, &Executor::serial());
+                assert!(single.status(0).is_detected(), "fault {fault} pair {p}");
             }
         }
     }

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dft_core::atpg::{Atpg, AtpgConfig};
 use dft_core::fault::{universe_stuck_at, FaultList};
-use dft_core::logicsim::{AnyKernel, Executor, PatternSet, SimKernel};
+use dft_core::logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{random_logic, systolic_array, SystolicConfig};
 use dft_core::trace::{TraceConfig, TraceHandle, TraceSession};
@@ -27,7 +27,7 @@ fn bench_goodsim_overhead(c: &mut Criterion) {
     let nl = random_logic(32, 2000, 0xFA);
     let ps = PatternSet::random(&nl, 256, 7);
     for (label, handle) in handles() {
-        let sim = AnyKernel::compile(&nl).with_metrics(handle.clone());
+        let sim = TapeKernel::compile(&nl).with_metrics(handle.clone());
         group.bench_with_input(BenchmarkId::new("sim", label), &label, |b, _| {
             b.iter(|| sim.eval_batch(&ps).len());
         });
@@ -43,7 +43,7 @@ fn bench_ppsfp_overhead(c: &mut Criterion) {
     let faults = universe_stuck_at(&nl);
     let ps = PatternSet::random(&nl, 64, 3);
     for (label, handle) in handles() {
-        let sim = AnyKernel::compile(&nl).with_metrics(handle.clone());
+        let sim = TapeKernel::compile(&nl).with_metrics(handle.clone());
         group.bench_with_input(BenchmarkId::new("sim", label), &label, |b, _| {
             b.iter(|| {
                 let mut list = FaultList::new(faults.clone());
@@ -94,7 +94,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         ("traced", session.handle()),
     ];
     for (label, trace) in variants {
-        let sim = AnyKernel::compile(&nl).with_trace(trace);
+        let sim = TapeKernel::compile(&nl).with_trace(trace);
         group.bench_with_input(BenchmarkId::new("sys2x2", label), &label, |b, _| {
             b.iter(|| {
                 let mut list = FaultList::new(faults.clone());

@@ -1,14 +1,14 @@
-//! Criterion: PPSFP fault-simulation throughput (fault-pattern pairs/s),
-//! legacy graph-walk vs compiled gate tape on every circuit.
+//! Criterion: PPSFP fault-simulation throughput (fault-pattern pairs/s)
+//! of the compiled gate tape on every circuit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dft_core::fault::{universe_stuck_at, FaultList};
-use dft_core::logicsim::{Executor, LegacyKernel, PatternSet, SimKernel, TapeKernel};
+use dft_core::logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 use dft_core::netlist::generators::{mac_pe, random_logic};
 use dft_core::netlist::Netlist;
 
-/// Benches one circuit under both kernels (serial executor).
-fn bench_both(
+/// Benches one circuit (serial executor).
+fn bench_circuit(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
     nl: &Netlist,
@@ -19,14 +19,6 @@ fn bench_both(
     let ps = PatternSet::random(nl, patterns, seed);
     let exec = Executor::serial();
     group.throughput(Throughput::Elements((faults.len() * patterns) as u64));
-    let legacy = LegacyKernel::compile(nl);
-    group.bench_with_input(BenchmarkId::new(name, "legacy"), &name, |b, _| {
-        b.iter(|| {
-            let mut list = FaultList::new(faults.clone());
-            legacy.fault_batch(&ps, &mut list, &exec);
-            list.num_detected()
-        });
-    });
     let tape = TapeKernel::compile(nl);
     group.bench_with_input(BenchmarkId::new(name, "tape"), &name, |b, _| {
         b.iter(|| {
@@ -42,10 +34,10 @@ fn bench_ppsfp(c: &mut Criterion) {
     group.sample_size(10);
     for gates in [500usize, 2000] {
         let nl = random_logic(32, gates, 0xFA);
-        bench_both(&mut group, &format!("random_logic_{gates}"), &nl, 64, 3);
+        bench_circuit(&mut group, &format!("random_logic_{gates}"), &nl, 64, 3);
     }
     let nl = mac_pe(8);
-    bench_both(&mut group, "mac8", &nl, 64, 5);
+    bench_circuit(&mut group, "mac8", &nl, 64, 5);
     group.finish();
 }
 

@@ -1,7 +1,7 @@
 //! `bench` — bench-trajectory and trace-validation tooling.
 //!
 //! ```text
-//! bench trend [--dir D] [--max-regress F] [--ratchet EXP]
+//! bench trend [--dir D] [--max-regress F]
 //! bench validate-trace <trace.json> [--jsonl <journal.jsonl>]
 //! bench validate-telemetry <scrape1.json> [scrape2.json] [--events <path>]
 //! ```
@@ -13,12 +13,6 @@
 //! any experiment got more than `--max-regress` (default `0.20`, i.e.
 //! 20%) slower or lost more than that fraction of coverage — CI gates
 //! on the exit status.
-//!
-//! `--ratchet EXP` additionally *requires* experiment `EXP` to be
-//! strictly faster than the baseline recorded by the previous `trend`
-//! invocation: a PR claiming a speedup runs the old code, `bench trend`
-//! (recording the baseline), the new code, then
-//! `bench trend --ratchet EXP` — which fails unless wall-clock improved.
 //!
 //! `validate-trace` checks a Perfetto `trace_event` export structurally
 //! (JSON parses, `traceEvents` is a non-empty array, complete events
@@ -63,7 +57,6 @@ fn main() -> ExitCode {
 fn run_trend(args: &[String]) -> ExitCode {
     let mut dir = PathBuf::from(".");
     let mut max_regress = 0.20f64;
-    let mut ratchet: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -74,10 +67,6 @@ fn run_trend(args: &[String]) -> ExitCode {
             "--max-regress" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(f) => max_regress = f,
                 None => return usage("--max-regress requires a fraction, e.g. 0.20"),
-            },
-            "--ratchet" => match it.next() {
-                Some(e) => ratchet = Some(e.clone()),
-                None => return usage("--ratchet requires an experiment id"),
             },
             other => return usage(&format!("unknown trend argument `{other}`")),
         }
@@ -112,18 +101,6 @@ fn run_trend(args: &[String]) -> ExitCode {
             max_regress * 100.0
         );
         return ExitCode::FAILURE;
-    }
-    if let Some(exp) = ratchet {
-        match trend::check_ratchet(&report, &exp) {
-            Ok(delta) => println!(
-                "ratchet `{exp}`: improved, wall-clock {:+.1}% vs baseline",
-                delta * 100.0
-            ),
-            Err(reason) => {
-                eprintln!("bench trend: RATCHET failed: {reason}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     ExitCode::SUCCESS
 }

@@ -17,9 +17,7 @@ use dft_core::diagnosis::{build_failure_log, diagnose};
 use dft_core::fault::{
     collapse_dominance, collapse_equivalent, universe_stuck_at, universe_transition, FaultList,
 };
-use dft_core::logicsim::{
-    AnyKernel, Executor, KernelKind, LegacyKernel, PatternSet, SimKernel, TapeKernel,
-};
+use dft_core::logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{
     benchmark_suite, decoder, mac_pe, systolic_array, SystolicConfig,
@@ -55,7 +53,7 @@ pub fn e1_random_coverage() {
     }
     println!();
     for c in selected_circuits(&["c17", "add32", "mult8", "parity16", "dec5", "mac8"]) {
-        let sim = AnyKernel::compile(&c.netlist);
+        let sim = TapeKernel::compile(&c.netlist);
         let ps = PatternSet::random(&c.netlist, *checkpoints.last().unwrap(), 0xE1);
         let mut list = FaultList::new(universe_stuck_at(&c.netlist));
         sim.fault_batch(&ps, &mut list, &exec());
@@ -627,21 +625,12 @@ pub fn metrics_report() {
     );
 }
 
-/// PPSFP: headline fault-simulation throughput — compiled gate-tape
-/// kernel vs the legacy graph-walk engines on the two headline circuits
-/// (mult8, sys2x2). Both kernels simulate the identical random pattern
-/// set over the full stuck-at universe and must agree on every fault
-/// status. Writes `BENCH_ppsfp_tape.json`: the `trend` block carries the
-/// wall-clock of the kernel selected by `AIDFT_KERNEL`, so CI records a
-/// legacy baseline first and then runs the tape kernel under
-/// `bench trend --ratchet ppsfp`, which fails unless the tape beat it.
+/// PPSFP: headline fault-simulation throughput of the gate-tape kernel
+/// on the two headline circuits (mult8, sys2x2): the full stuck-at
+/// universe against one random pattern set. Writes
+/// `BENCH_ppsfp_tape.json`, whose `trend` block feeds `bench trend`.
 pub fn ppsfp_report() {
-    let kind = KernelKind::from_env();
-    println!(
-        "PPSFP: fault-simulation throughput, legacy vs gate tape \
-         (trend kernel: {})",
-        kind.name()
-    );
+    println!("PPSFP: fault-simulation throughput, gate tape");
     let num_patterns = 1024usize;
     let reps = 3usize;
     let mut circuits = selected_circuits(&["mult8"]);
@@ -654,8 +643,8 @@ pub fn ppsfp_report() {
         }),
     });
     println!(
-        "{:<8} {:>7} {:>9} {:>11} {:>11} {:>8} {:>12}",
-        "circuit", "faults", "patterns", "legacy ms", "tape ms", "speedup", "tape Mf·p/s"
+        "{:<8} {:>7} {:>9} {:>11} {:>12}",
+        "circuit", "faults", "patterns", "tape ms", "tape Mf·p/s"
     );
     let mut rows = Vec::new();
     let mut wall_ns = 0u64;
@@ -665,75 +654,43 @@ pub fn ppsfp_report() {
         let ps = PatternSet::random(nl, num_patterns, 0xF5);
         let universe = universe_stuck_at(nl);
         // Best-of-`reps`, compile included (it amortizes to nothing but
-        // charging it keeps the comparison honest).
-        let bench = |tape: bool| -> (u64, FaultList) {
-            let mut best = u64::MAX;
-            let mut last = None;
-            for _ in 0..reps {
-                let mut list = FaultList::new(universe.clone());
-                let t = Instant::now();
-                if tape {
-                    TapeKernel::compile(nl).fault_batch(&ps, &mut list, &exec());
-                } else {
-                    LegacyKernel::compile(nl).fault_batch(&ps, &mut list, &exec());
-                }
-                best = best.min(t.elapsed().as_nanos() as u64);
-                last = Some(list);
-            }
-            (best, last.expect("reps >= 1"))
-        };
-        let (legacy_ns, legacy_list) = bench(false);
-        let (tape_ns, tape_list) = bench(true);
-        for i in 0..legacy_list.len() {
-            assert_eq!(
-                legacy_list.status(i),
-                tape_list.status(i),
-                "kernels disagree on {} ({})",
-                legacy_list.faults()[i],
-                c.name
-            );
+        // charging it keeps the number honest).
+        let mut tape_ns = u64::MAX;
+        let mut coverage = 0.0;
+        for _ in 0..reps {
+            let mut list = FaultList::new(universe.clone());
+            let t = Instant::now();
+            TapeKernel::compile(nl).fault_batch(&ps, &mut list, &exec());
+            tape_ns = tape_ns.min(t.elapsed().as_nanos() as u64);
+            coverage = list.fault_coverage();
         }
-        let speedup = legacy_ns as f64 / tape_ns.max(1) as f64;
         let fp_per_sec = (universe.len() * num_patterns) as f64 / (tape_ns as f64 / 1e9) / 1e6;
         println!(
-            "{:<8} {:>7} {:>9} {:>11.3} {:>11.3} {:>7.1}x {:>12.1}",
+            "{:<8} {:>7} {:>9} {:>11.3} {:>12.1}",
             c.name,
             universe.len(),
             num_patterns,
-            legacy_ns as f64 / 1e6,
             tape_ns as f64 / 1e6,
-            speedup,
             fp_per_sec
         );
-        wall_ns += match kind {
-            KernelKind::Legacy => legacy_ns,
-            KernelKind::Tape => tape_ns,
-        };
-        coverage_sum += tape_list.fault_coverage();
+        wall_ns += tape_ns;
+        coverage_sum += coverage;
         rows.push(format!(
-            "{{\"circuit\":\"{}\",\"faults\":{},\"patterns\":{},\"legacy_ns\":{},\
-             \"tape_ns\":{},\"speedup\":{:.3}}}",
+            "{{\"circuit\":\"{}\",\"faults\":{},\"patterns\":{},\"tape_ns\":{}}}",
             c.name,
             universe.len(),
             num_patterns,
-            legacy_ns,
-            tape_ns,
-            speedup
+            tape_ns
         ));
     }
     let coverage = coverage_sum / circuits.len() as f64;
     let json = format!(
         "{{\n\"trend\": {{\"experiment\":\"ppsfp\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{coverage:.6}}},\n\"kernel\": \"{}\",\n\"circuits\": [{}]\n}}\n",
-        kind.name(),
+         \"coverage\":{coverage:.6}}},\n\"circuits\": [{}]\n}}\n",
         rows.join(",")
     );
     std::fs::write("BENCH_ppsfp_tape.json", json).expect("write BENCH_ppsfp_tape.json");
-    println!("wrote BENCH_ppsfp_tape.json (statuses bit-identical across kernels)");
-    println!(
-        "shape: 256 patterns/pass vs 64, compile-once tape, lane-0 early drop; \
-         expect ~3.3x (mult8) / ~2.3x (sys2x2), see EXPERIMENTS.md."
-    );
+    println!("wrote BENCH_ppsfp_tape.json");
 }
 
 /// REPAIR: built-in self-repair and graceful degradation. Two tables:

@@ -262,37 +262,6 @@ pub fn collect(dir: &Path) -> std::io::Result<(Vec<TrendEntry>, Vec<PathBuf>)> {
     Ok((entries, skipped))
 }
 
-/// Applies the `--ratchet` rule to a computed report: the targeted
-/// experiment must be present, must have a previous baseline, and must
-/// be strictly *faster* than it (wall-clock delta < 0). Returns the
-/// wall-clock delta on success and the reason the ratchet failed
-/// otherwise. Used by CI to force a PR that claims a speedup to prove
-/// it against the baseline recorded in `BENCH_trend.json`.
-pub fn check_ratchet(report: &TrendReport, experiment: &str) -> Result<f64, String> {
-    let Some(delta) = report
-        .deltas
-        .iter()
-        .find(|d| d.current.experiment == experiment)
-    else {
-        return Err(format!(
-            "ratchet target `{experiment}` has no current BENCH_*.json sample"
-        ));
-    };
-    let Some(wall_delta) = delta.wall_delta else {
-        return Err(format!(
-            "ratchet target `{experiment}` has no previous baseline to improve on"
-        ));
-    };
-    if wall_delta < 0.0 {
-        Ok(wall_delta)
-    } else {
-        Err(format!(
-            "ratchet target `{experiment}` did not improve: wall-clock {:+.1}% vs baseline",
-            wall_delta * 100.0
-        ))
-    }
-}
-
 /// The full `bench trend` operation: collect, diff against
 /// `<dir>/BENCH_trend.json`, rewrite it, and return the report plus the
 /// files that carried no trend block.
@@ -383,34 +352,6 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back[0], entry("metrics", 123, Some(0.5)));
         assert_eq!(back[1], entry("repair", 456, None));
-    }
-
-    #[test]
-    fn ratchet_requires_strict_improvement() {
-        let prev = [entry("ppsfp", 1_000_000, Some(0.99))];
-        // Faster: ratchet passes and reports the (negative) delta.
-        let faster = compare(vec![entry("ppsfp", 400_000, Some(0.99))], &prev, 0.20);
-        assert_eq!(check_ratchet(&faster, "ppsfp"), Ok(-0.6));
-        // Identical wall-clock: not an improvement.
-        let flat = compare(vec![entry("ppsfp", 1_000_000, Some(0.99))], &prev, 0.20);
-        assert!(check_ratchet(&flat, "ppsfp").is_err());
-        // Slower: definitely not.
-        let slower = compare(vec![entry("ppsfp", 1_100_000, Some(0.99))], &prev, 0.20);
-        assert!(check_ratchet(&slower, "ppsfp").is_err());
-    }
-
-    #[test]
-    fn ratchet_rejects_missing_target_or_baseline() {
-        // No current sample for the target at all.
-        let report = compare(vec![entry("metrics", 42, None)], &[], 0.20);
-        assert!(check_ratchet(&report, "ppsfp")
-            .unwrap_err()
-            .contains("no current"));
-        // A current sample but no previous baseline.
-        let report = compare(vec![entry("ppsfp", 42, None)], &[], 0.20);
-        assert!(check_ratchet(&report, "ppsfp")
-            .unwrap_err()
-            .contains("no previous baseline"));
     }
 
     #[test]

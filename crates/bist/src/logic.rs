@@ -2,7 +2,7 @@
 
 use dft_checkpoint::CancelToken;
 use dft_fault::{universe_stuck_at, FaultList};
-use dft_logicsim::{AnyKernel, Executor, PatternSet, SimKernel};
+use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
@@ -112,7 +112,7 @@ impl<'a> LogicBist<'a> {
             m.bist_sessions.inc();
         }
         let ps = self.patterns(n, seed);
-        let mut sim = AnyKernel::compile(self.nl)
+        let mut sim = TapeKernel::compile(self.nl)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone());
         if let Some(tok) = &self.cancel {
@@ -135,7 +135,7 @@ impl<'a> LogicBist<'a> {
     /// detection behaviour to a MISR for fully-specified responses.
     pub fn signature(&self, ps: &PatternSet) -> u64 {
         let _span = self.trace.span_arg("misr_signature", ps.len() as u64);
-        let sim = AnyKernel::compile(self.nl).with_metrics(self.metrics.clone());
+        let sim = TapeKernel::compile(self.nl).with_metrics(self.metrics.clone());
         if let Some(m) = self.metrics.get() {
             // One MISR absorb cycle per response shifted out.
             m.misr_cycles.add(ps.len() as u64);
@@ -163,7 +163,7 @@ impl<'a> LogicBist<'a> {
     ) -> Vec<f64> {
         use dft_atpg::{AtpgResult, Podem};
         let ps = self.patterns(base_patterns, seed);
-        let sim = AnyKernel::compile(self.nl).with_metrics(self.metrics.clone());
+        let sim = TapeKernel::compile(self.nl).with_metrics(self.metrics.clone());
         let mut list = FaultList::new(universe_stuck_at(self.nl));
         sim.fault_batch(&ps, &mut list, &self.exec);
         let mut podem = Podem::new(self.nl);
@@ -218,7 +218,7 @@ impl<'a> LogicBist<'a> {
             m.bist_patterns.add(n as u64);
         }
         let ps = self.weighted_patterns(n, seed, weights);
-        let mut sim = AnyKernel::compile(self.nl)
+        let mut sim = TapeKernel::compile(self.nl)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone());
         if let Some(tok) = &self.cancel {
@@ -240,7 +240,7 @@ impl<'a> LogicBist<'a> {
     pub fn coverage_curve(&self, checkpoints: &[usize], seed: u64) -> Vec<(usize, f64)> {
         let max = checkpoints.iter().copied().max().unwrap_or(0);
         let ps = self.patterns(max, seed);
-        let sim = AnyKernel::compile(self.nl).with_metrics(self.metrics.clone());
+        let sim = TapeKernel::compile(self.nl).with_metrics(self.metrics.clone());
         let mut list = FaultList::new(universe_stuck_at(self.nl));
         sim.fault_batch(&ps, &mut list, &self.exec);
         // First-detection indices give the whole curve in one pass.
@@ -310,7 +310,7 @@ mod tests {
         nl.add_output(and, "po_and");
         nl.add_output(or, "po_or");
         let bist = LogicBist::new(&nl, 32);
-        let sim = AnyKernel::compile(&nl);
+        let sim = TapeKernel::compile(&nl);
         let exec = Executor::serial();
 
         let all_flat = {

@@ -172,18 +172,22 @@ mod tests {
 
     #[test]
     fn control_points_are_transparent_when_inactive() {
-        use dft_logicsim::{GoodSim, PatternSet};
+        use dft_logicsim::{PatternSet, SimKernel, TapeKernel};
         let nl = decoder(4);
         let (tp, _) = insert_test_points(&nl, 6);
-        let sim_orig = GoodSim::new(&nl);
-        let sim_tp = GoodSim::new(&tp);
         let ps = PatternSet::random(&nl, 32, 3);
-        for p in ps.iter() {
-            // Extend the pattern with 0s for the new tp_ctl inputs.
-            let mut p2 = p.clone();
-            p2.resize(tp.num_inputs() + tp.num_dffs(), false);
-            let r1 = sim_orig.simulate(p);
-            let r2 = sim_tp.simulate(&p2);
+        // Extend each pattern with 0s for the new tp_ctl inputs.
+        let ps_tp: PatternSet = ps
+            .iter()
+            .map(|p| {
+                let mut p2 = p.clone();
+                p2.resize(tp.num_inputs() + tp.num_dffs(), false);
+                p2
+            })
+            .collect();
+        let orig = TapeKernel::compile(&nl).eval_batch(&ps);
+        let pointed = TapeKernel::compile(&tp).eval_batch(&ps_tp);
+        for (r1, r2) in orig.iter().zip(&pointed) {
             // Original outputs are a prefix of the test-pointed outputs
             // (observe points appended after).
             assert_eq!(&r2[..r1.len()], &r1[..], "functional change!");

@@ -6,14 +6,14 @@
 //! fields for struct-update syntax, plus chainable builder setters
 //! (`AtpgConfig::new().random_patterns(64).threads(8)`).
 //!
-//! The simulation-kernel surface ([`SimKernel`], [`AnyKernel`],
-//! [`KernelKind`]) lives here too: kernel selection (`AIDFT_KERNEL`) is
-//! part of flow configuration the same way thread counts are.
+//! The simulation-kernel surface ([`SimKernel`], [`TapeKernel`]) lives
+//! here too, next to the thread-count knobs. [`KernelKind`] has a single
+//! variant and stays for source compatibility only.
 
 pub use dft_aichip::SocConfig;
 pub use dft_atpg::{AtpgConfig, CompactionMode, Durability};
 pub use dft_checkpoint::{CancelToken, ChaosConfig, CkptState, Journal};
-pub use dft_logicsim::{AnyKernel, Executor, KernelKind, Parallelism, SimKernel};
+pub use dft_logicsim::{Executor, KernelKind, Parallelism, SimKernel, TapeKernel};
 pub use dft_netlist::generators::SystolicConfig;
 pub use dft_repair::{SpareConfig, SramGeometry};
 pub use dft_scan::ScanConfig;

@@ -5,11 +5,13 @@
 //! standard second pass pairs the nets of the best stuck-at candidates
 //! and scores the four bridge models per pair.
 
-use dft_fault::{BridgeFault, BridgeKind};
-use dft_logicsim::{FaultSim, PatternSet, SimWorkspace};
-use dft_netlist::{GateId, Netlist};
+use dft_fault::{BridgeFault, BridgeKind, Fault};
+use dft_logicsim::{PatternSet, SimKernel, TapeKernel};
+use dft_netlist::{GateId, GateKind, Netlist};
 
-use crate::FailureLog;
+use crate::faillog::defect_failure_log;
+use crate::score::Observed;
+use crate::{FailureLog, PatternFail};
 
 /// A scored bridge candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,55 +45,7 @@ pub fn build_bridge_failure_log(
     patterns: &PatternSet,
     defect: BridgeFault,
 ) -> FailureLog {
-    let sim = FaultSim::new(nl);
-    let mut ws = SimWorkspace::new(nl.num_gates());
-    let mut fails = Vec::new();
-    for (start, words, count) in patterns.blocks() {
-        let good = sim.good_sim().eval_block(&words);
-        let mask = if count >= 64 {
-            !0u64
-        } else {
-            (1u64 << count) - 1
-        };
-        let (det, _) = sim.detect_word_bridge(&good, mask, defect, &mut ws);
-        let mut d = det;
-        while d != 0 {
-            let k = d.trailing_zeros();
-            d &= d - 1;
-            // Which sinks fail is pattern-specific; recompute per pattern
-            // for the log (bridge responses need per-sink detail).
-            let p = patterns.pattern(start + k as usize);
-            let pw: Vec<u64> = p.iter().map(|&b| if b { !0 } else { 0 }).collect();
-            let g1 = sim.good_sim().eval_block(&pw);
-            let (_, _) = sim.detect_word_bridge(&g1, 1, defect, &mut ws);
-            // The workspace now holds the faulty overlay for this pattern.
-            let sinks = sim.good_sim().sinks();
-            let sink_words = sim.good_sim().sink_words(&g1);
-            let mut failing = Vec::new();
-            for (si, &s) in sinks.iter().enumerate() {
-                let gate = nl.gate(s);
-                let faulty = if matches!(gate.kind, dft_netlist::GateKind::Dff) {
-                    ws_value(&ws, gate.fanins[0], &g1)
-                } else {
-                    ws_value(&ws, s, &g1)
-                };
-                if (faulty ^ sink_words[si]) & 1 == 1 {
-                    failing.push(si as u32);
-                }
-            }
-            if !failing.is_empty() {
-                fails.push(crate::PatternFail {
-                    pattern: start as u32 + k,
-                    failing_sinks: failing,
-                });
-            }
-        }
-    }
-    FailureLog { fails }
-}
-
-fn ws_value(ws: &SimWorkspace, g: GateId, good: &[u64]) -> u64 {
-    ws.value_or(g, good)
+    defect_failure_log(nl, patterns, defect)
 }
 
 /// Diagnoses a log allowing bridge candidates: runs stuck-at diagnosis
@@ -114,60 +68,44 @@ pub fn diagnose_bridges(
     // each failing pattern votes for the nets whose single stuck-at
     // reproduces *exactly* that pattern's failing-sink set; the two
     // bridged nets each explain the cycles on which they are the active
-    // victim.
-    let sim_pool = FaultSim::new(nl);
-    let good_sim = sim_pool.good_sim();
-    let sinks = good_sim.sinks();
-    let mut ws_pool = SimWorkspace::new(nl.num_gates());
-    let mut votes: Vec<(usize, GateId)> = Vec::new();
+    // victim. The sampled patterns are simulated as one batch.
+    let kernel = TapeKernel::compile(nl);
     let net_candidates: Vec<GateId> = nl
         .iter()
-        .filter(|(_, g)| {
-            g.kind.is_logic()
-                || matches!(
-                    g.kind,
-                    dft_netlist::GateKind::Input | dft_netlist::GateKind::Dff
-                )
-        })
+        .filter(|(_, g)| g.kind.is_logic() || matches!(g.kind, GateKind::Input | GateKind::Dff))
         .map(|(id, _)| id)
         .collect();
-    let fail_sample: Vec<&crate::PatternFail> = log.fails.iter().take(32).collect();
-    for &net in &net_candidates {
-        let mut count = 0usize;
-        for fail in &fail_sample {
-            let p = patterns.pattern(fail.pattern as usize);
-            let words: Vec<u64> = p.iter().map(|&b| if b { !0 } else { 0 }).collect();
-            let good = good_sim.eval_block(&words);
-            let mut matched = false;
-            for value in [false, true] {
-                let f = dft_fault::Fault::stuck_at_output(net, value);
-                let (det, _) = sim_pool.detect_word(&good, 1, f, &mut ws_pool);
-                if det & 1 == 0 {
-                    continue;
-                }
-                // Exact per-sink comparison using the workspace overlay.
-                let sink_words = good_sim.sink_words(&good);
-                let exact = sinks.iter().enumerate().all(|(si, &s)| {
-                    let gate = nl.gate(s);
-                    let faulty = if matches!(gate.kind, dft_netlist::GateKind::Dff) {
-                        ws_pool.value_or(gate.fanins[0], &good)
-                    } else {
-                        ws_pool.value_or(s, &good)
-                    };
-                    let fails_here = (faulty ^ sink_words[si]) & 1 == 1;
-                    fails_here == fail.failing_sinks.contains(&(si as u32))
-                });
-                if exact {
-                    matched = true;
-                    break;
-                }
+    let fail_sample: Vec<&PatternFail> = log.fails.iter().take(32).collect();
+    let sample: PatternSet = fail_sample
+        .iter()
+        .map(|f| patterns.pattern(f.pattern as usize).clone())
+        .collect();
+    let good = kernel.eval_batch(&sample);
+    let mut votes: Vec<(usize, GateId)> = Vec::new();
+    // Chunked so the faulty responses held at once stay bounded on
+    // large designs.
+    for nets in net_candidates.chunks(64) {
+        let faults: Vec<Fault> = nets
+            .iter()
+            .flat_map(|&net| [false, true].map(|v| Fault::stuck_at_output(net, v)))
+            .collect();
+        let faulty = kernel.faulty_responses(&sample, &faults);
+        for (&net, per_value) in nets.iter().zip(faulty.chunks(2)) {
+            let count = fail_sample
+                .iter()
+                .enumerate()
+                .filter(|&(k, fail)| {
+                    per_value.iter().any(|responses| {
+                        let (g, f) = (&good[k], &responses[k]);
+                        g != f
+                            && (0..g.len())
+                                .all(|s| (g[s] != f[s]) == fail.failing_sinks.contains(&(s as u32)))
+                    })
+                })
+                .count();
+            if count > 0 {
+                votes.push((count, net));
             }
-            if matched {
-                count += 1;
-            }
-        }
-        if count > 0 {
-            votes.push((count, net));
         }
     }
     votes.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -179,47 +117,30 @@ pub fn diagnose_bridges(
     nets.sort_unstable();
     nets.dedup();
 
-    let sim = FaultSim::new(nl);
-    let mut ws = SimWorkspace::new(nl.num_gates());
-    let observed: Vec<u32> = log.fails.iter().map(|f| f.pattern).collect();
-    let mut out = Vec::new();
+    let mut bridges = Vec::new();
     for (i, &a) in nets.iter().enumerate() {
         for &b in nets.iter().skip(i + 1) {
             if nl.gate(b).fanins.contains(&a) || nl.gate(a).fanins.contains(&b) {
                 continue;
             }
-            for kind in BridgeKind::ALL {
-                let bridge = BridgeFault { a, b, kind };
-                let mut cand = BridgeCandidate {
-                    bridge,
-                    tfsf: 0,
-                    tpsf: 0,
-                    tfsp: 0,
-                };
-                for (start, words, count) in patterns.blocks() {
-                    let good = sim.good_sim().eval_block(&words);
-                    let mask = if count >= 64 {
-                        !0u64
-                    } else {
-                        (1u64 << count) - 1
-                    };
-                    let (det, _) = sim.detect_word_bridge(&good, mask, bridge, &mut ws);
-                    for k in 0..count {
-                        let pat = (start + k) as u32;
-                        let predicted = (det >> k) & 1 == 1;
-                        let obs = observed.contains(&pat);
-                        match (predicted, obs) {
-                            (true, true) => cand.tfsf += 1,
-                            (true, false) => cand.tpsf += 1,
-                            (false, true) => cand.tfsp += 1,
-                            (false, false) => {}
-                        }
-                    }
-                }
-                out.push(cand);
-            }
+            bridges.extend(BridgeKind::ALL.map(|kind| BridgeFault { a, b, kind }));
         }
     }
+    let observed = Observed::new(log, patterns.len());
+    let mut out: Vec<BridgeCandidate> = kernel
+        .detection_sets(patterns, &bridges)
+        .iter()
+        .zip(bridges)
+        .map(|(predicted, bridge)| {
+            let (tfsf, tpsf, tfsp) = observed.match_counts(predicted);
+            BridgeCandidate {
+                bridge,
+                tfsf,
+                tpsf,
+                tfsp,
+            }
+        })
+        .collect();
     out.sort_by_key(|c| std::cmp::Reverse(c.score()));
     out.truncate(top_k);
     out
@@ -266,10 +187,8 @@ mod tests {
             kind: BridgeKind::WiredAnd,
         };
         let log = build_bridge_failure_log(&nl, &patterns, defect);
-        let sim = FaultSim::new(&nl);
-        for (i, p) in patterns.iter().enumerate() {
-            let in_log = log.fails.iter().any(|f| f.pattern == i as u32);
-            assert_eq!(in_log, sim.detects_bridge(p, defect), "pattern {i}");
-        }
+        let failing: Vec<u32> = log.fails.iter().map(|f| f.pattern).collect();
+        let detecting = TapeKernel::compile(&nl).detection_sets(&patterns, &[defect]);
+        assert_eq!(failing, detecting[0]);
     }
 }

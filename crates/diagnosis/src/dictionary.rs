@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use dft_fault::Fault;
-use dft_logicsim::{FaultSim, PatternSet};
+use dft_logicsim::{PatternSet, SimKernel, TapeKernel};
 use dft_netlist::Netlist;
 
 use crate::FailureLog;
@@ -31,8 +31,7 @@ impl FaultDictionary {
     /// Pre-simulates `universe` against `patterns` (no fault dropping)
     /// and builds the dictionary.
     pub fn build(nl: &Netlist, patterns: &PatternSet, universe: Vec<Fault>) -> FaultDictionary {
-        let sim = FaultSim::new(nl);
-        let signatures = sim.detection_matrix(patterns, &universe);
+        let signatures = TapeKernel::compile(nl).detection_sets(patterns, &universe);
         let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
         for (i, sig) in signatures.iter().enumerate() {
             index.entry(sig.clone()).or_default().push(i);

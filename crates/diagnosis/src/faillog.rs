@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use dft_fault::Fault;
-use dft_logicsim::{FaultSim, PatternSet};
+use dft_logicsim::{Defect, PatternSet, SimKernel, TapeKernel};
 use dft_netlist::Netlist;
 
 /// One failing pattern: which observation points (combinational sinks, in
@@ -240,26 +240,31 @@ impl Parser<'_> {
 /// the synthetic equivalent of a tester datalog (production logs are
 /// proprietary; see DESIGN.md substitutions).
 pub fn build_failure_log(nl: &Netlist, patterns: &PatternSet, defect: Fault) -> FailureLog {
-    let sim = FaultSim::new(nl);
-    let good_sim = sim.good_sim();
-    let mut fails = Vec::new();
-    for (i, p) in patterns.iter().enumerate() {
-        let good = good_sim.simulate(p);
-        let faulty = sim.faulty_response(p, defect);
-        let failing: Vec<u32> = good
-            .iter()
-            .zip(&faulty)
-            .enumerate()
-            .filter(|(_, (g, f))| g != f)
-            .map(|(s, _)| s as u32)
-            .collect();
-        if !failing.is_empty() {
-            fails.push(PatternFail {
-                pattern: i as u32,
-                failing_sinks: failing,
-            });
-        }
-    }
+    defect_failure_log(nl, patterns, defect)
+}
+
+/// The failure log of any tape [`Defect`]: every pattern whose faulty
+/// response differs from the good machine, with the differing sinks.
+pub(crate) fn defect_failure_log<D: Copy + Into<Defect>>(
+    nl: &Netlist,
+    patterns: &PatternSet,
+    defect: D,
+) -> FailureLog {
+    let kernel = TapeKernel::compile(nl);
+    let good = kernel.eval_batch(patterns);
+    let faulty = kernel.faulty_responses(patterns, &[defect]).swap_remove(0);
+    let fails = good
+        .iter()
+        .zip(&faulty)
+        .enumerate()
+        .filter(|(_, (g, f))| g != f)
+        .map(|(i, (g, f))| PatternFail {
+            pattern: i as u32,
+            failing_sinks: (0..g.len() as u32)
+                .filter(|&s| g[s as usize] != f[s as usize])
+                .collect(),
+        })
+        .collect();
     FailureLog { fails }
 }
 
@@ -300,11 +305,12 @@ mod tests {
         let mut ps = PatternSet::new(5);
         ps.push(vec![true; 5]); // single pattern that misses most faults
                                 // Find a fault this pattern does not detect.
-        let sim = FaultSim::new(&nl);
-        let fault = dft_fault::universe_stuck_at(&nl)
-            .into_iter()
-            .find(|&f| !sim.detects(ps.pattern(0), f))
-            .expect("some fault undetected by a single pattern");
+        let universe = dft_fault::universe_stuck_at(&nl);
+        let sets = TapeKernel::compile(&nl).detection_sets(&ps, &universe);
+        let fault = universe[sets
+            .iter()
+            .position(Vec::is_empty)
+            .expect("some fault undetected by a single pattern")];
         let log = build_failure_log(&nl, &ps, fault);
         assert!(log.is_clean());
     }
@@ -313,17 +319,15 @@ mod tests {
     fn observations_match_detection() {
         let nl = c17();
         let ps = PatternSet::random(&nl, 32, 9);
-        let sim = FaultSim::new(&nl);
-        for &fault in dft_fault::universe_stuck_at(&nl).iter().take(10) {
+        let faults: Vec<Fault> = dft_fault::universe_stuck_at(&nl)
+            .into_iter()
+            .take(10)
+            .collect();
+        let sets = TapeKernel::compile(&nl).detection_sets(&ps, &faults);
+        for (&fault, detecting) in faults.iter().zip(&sets) {
             let log = build_failure_log(&nl, &ps, fault);
             let failing: Vec<u32> = log.fails.iter().map(|f| f.pattern).collect();
-            for (i, p) in ps.iter().enumerate() {
-                assert_eq!(
-                    failing.contains(&(i as u32)),
-                    sim.detects(p, fault),
-                    "{fault} pattern {i}"
-                );
-            }
+            assert_eq!(&failing, detecting, "{fault}");
         }
     }
 

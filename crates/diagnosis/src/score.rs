@@ -1,7 +1,7 @@
 //! Effect-cause candidate extraction and per-pattern match scoring.
 
 use dft_fault::{universe_stuck_at, Fault};
-use dft_logicsim::{FaultSim, PatternSet, SimWorkspace};
+use dft_logicsim::{PatternSet, SimKernel, TapeKernel};
 use dft_netlist::{output_cone_map, Netlist};
 
 use crate::FailureLog;
@@ -75,43 +75,55 @@ pub fn diagnose_universe(
         .collect();
 
     // 2. Per-pattern simulation scoring.
-    let sim = FaultSim::new(nl);
-    let mut ws = SimWorkspace::new(nl.num_gates());
-    let mut scored: Vec<Candidate> = structural
+    let observed = Observed::new(log, patterns.len());
+    let kernel = TapeKernel::compile(nl);
+    let mut scored: Vec<Candidate> = kernel
+        .detection_sets(patterns, &structural)
         .iter()
-        .map(|&fault| {
-            let mut c = Candidate {
+        .zip(&structural)
+        .map(|(predicted, &fault)| {
+            let (tfsf, tpsf, tfsp) = observed.match_counts(predicted);
+            Candidate {
                 fault,
-                tfsf: 0,
-                tpsf: 0,
-                tfsp: 0,
-            };
-            for (start, words, count) in patterns.blocks() {
-                let good = sim.good_sim().eval_block(&words);
-                let mask = if count >= 64 {
-                    !0u64
-                } else {
-                    (1u64 << count) - 1
-                };
-                let (det, _) = sim.detect_word(&good, mask, fault, &mut ws);
-                for k in 0..count {
-                    let pattern = (start + k) as u32;
-                    let predicted = (det >> k) & 1 == 1;
-                    let observed = log.fails.iter().any(|f| f.pattern == pattern);
-                    match (predicted, observed) {
-                        (true, true) => c.tfsf += 1,
-                        (true, false) => c.tpsf += 1,
-                        (false, true) => c.tfsp += 1,
-                        (false, false) => {}
-                    }
-                }
+                tfsf,
+                tpsf,
+                tfsp,
             }
-            c
         })
         .collect();
     scored.sort_by_key(|c| std::cmp::Reverse(c.score()));
     scored.truncate(top_k);
     scored
+}
+
+/// The failing patterns of a log, as a per-pattern flag over the applied
+/// set (log entries outside it are ignored).
+pub(crate) struct Observed {
+    failing: Vec<bool>,
+    count: u32,
+}
+
+impl Observed {
+    pub(crate) fn new(log: &FailureLog, patterns: usize) -> Observed {
+        let mut failing = vec![false; patterns];
+        for f in &log.fails {
+            if let Some(flag) = failing.get_mut(f.pattern as usize) {
+                *flag = true;
+            }
+        }
+        let count = failing.iter().filter(|&&f| f).count() as u32;
+        Observed { failing, count }
+    }
+
+    /// `(tfsf, tpsf, tfsp)` of a candidate that fails exactly the
+    /// `predicted` patterns.
+    pub(crate) fn match_counts(&self, predicted: &[u32]) -> (u32, u32, u32) {
+        let tfsf = predicted
+            .iter()
+            .filter(|&&p| self.failing[p as usize])
+            .count() as u32;
+        (tfsf, predicted.len() as u32 - tfsf, self.count - tfsf)
+    }
 }
 
 #[cfg(test)]

@@ -1,42 +1,59 @@
-//! The unified simulation-kernel API.
+//! The simulation-kernel API.
 //!
-//! [`SimKernel`] is the single entry point every simulation consumer
-//! (ATPG, LBIST, EDT verification, the aichip broadcast screen) goes
-//! through: compile a netlist once, then run good-machine, stuck-at, and
-//! transition batches against the compiled design. Callers stop owning
-//! graph-walk details, and the engine becomes swappable behind the trait:
+//! [`SimKernel`] is the entry point every simulation consumer (ATPG,
+//! LBIST, EDT verification, the aichip broadcast screen) goes through:
+//! compile a netlist once, then run good-machine, stuck-at, and
+//! transition batches against the compiled design. [`TapeKernel`] — a
+//! compile-once levelized [`GateTape`] evaluated 256 patterns per pass
+//! (see [`crate::tape`]) — is its one implementation.
 //!
-//! - [`TapeKernel`] — the default: a compile-once levelized
-//!   [`GateTape`] evaluated 256 patterns per pass (see [`crate::tape`]).
-//! - [`LegacyKernel`] — the original per-evaluation graph walkers
-//!   ([`FaultSim`]/[`TransitionSim`]), kept until the migration window
-//!   closes and used by CI to cross-check bit-identical coverage.
-//! - [`AnyKernel`] — a runtime-selected kernel; [`AnyKernel::compile`]
-//!   honours the `AIDFT_KERNEL` environment variable (`legacy` or
-//!   `tape`, default `tape`) so CI can pin either engine without a
-//!   rebuild.
+//! [`TapeKernel`] also carries the per-defect operations diagnosis and
+//! the serve die need, with no fault dropping: the detecting patterns of
+//! each [`Defect`] ([`TapeKernel::detection_sets`]) and its faulty
+//! responses ([`TapeKernel::faulty_responses`]).
 //!
-//! Both kernels obey the same determinism contract as the legacy
-//! entry points: the detected-fault set, each fault's first detecting
-//! pattern, and the coverage numbers are bit-identical across kernels
-//! and across thread counts. Only the work counters (`gate_evals`)
-//! differ, because the tape evaluates 256 patterns per gate visit.
+//! Determinism contract: the detected-fault set, each fault's first
+//! detecting pattern, and the coverage numbers are bit-identical across
+//! thread counts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dft_checkpoint::{CancelToken, ChaosConfig, ChaosSite};
-use dft_fault::{Fault, FaultList};
+use dft_fault::{BridgeFault, Fault, FaultKind, FaultList};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
 use crate::tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
-use crate::{Executor, FaultSim, Pattern, PatternSet, Response, SimStats, TransitionSim};
+use crate::{Executor, Pattern, PatternSet, Response};
 
 /// Below this many fault×pattern propagations the spawn/merge cost
-/// dominates; kernels fall back to the calling thread. Matches the
-/// legacy engines so scheduling decisions stay identical.
+/// dominates; kernels fall back to the calling thread.
 const PARALLEL_THRESHOLD: usize = 1 << 12;
+
+/// Summary counters from a fault-simulation run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Patterns simulated.
+    pub patterns: usize,
+    /// Faults that were still undetected when the run started.
+    pub faults_simulated: usize,
+    /// Faults newly detected by this run.
+    pub detected: usize,
+    /// Total faulty-machine gate evaluations (work measure).
+    pub gate_evals: u64,
+    /// Fault batches whose simulation panicked and was isolated: the
+    /// panic is contained to that fault's batch, its fault stays
+    /// undetected, and every other batch's result is bit-identical to a
+    /// clean run. Non-zero only when a worker died mid-simulation (or the
+    /// test-only [`TapeKernel::with_poisoned_fault`] hook fired).
+    pub failed_batches: usize,
+    /// `true` when a [`CancelToken`] fired during the run. An interrupted
+    /// run marks **no** detections at all — the fault list is exactly as
+    /// it was on entry — so a resumed run that repeats the pass produces
+    /// bit-identical results.
+    pub interrupted: bool,
+}
 
 /// A compiled simulation engine for one netlist.
 ///
@@ -45,7 +62,7 @@ const PARALLEL_THRESHOLD: usize = 1 << 12;
 /// call reuses it. All batch methods take `&self` and are safe to call
 /// from multiple threads.
 pub trait SimKernel<'nl>: Sized {
-    /// Compiles `nl` into an engine-specific design representation.
+    /// Compiles `nl` into the kernel's design representation.
     ///
     /// # Panics
     ///
@@ -63,14 +80,13 @@ pub trait SimKernel<'nl>: Sized {
     /// PPSFP stuck-at fault simulation: runs all `patterns` against the
     /// undetected faults in `list`, marking first detections (fault
     /// dropping) and returning run statistics. Bit-identical results for
-    /// any thread count and any [`SimKernel`] implementation.
+    /// any thread count.
     fn fault_batch(&self, patterns: &PatternSet, list: &mut FaultList, exec: &Executor)
         -> SimStats;
 
     /// Transition-delay fault simulation over launch/capture pairs
     /// (`pairs[i]` launches with `.0` and captures with `.1`), marking
-    /// first detections in `list`. Bit-identical across kernels and
-    /// thread counts.
+    /// first detections in `list`. Bit-identical across thread counts.
     fn transition_batch(
         &self,
         pairs: &[(Pattern, Pattern)],
@@ -79,120 +95,35 @@ pub trait SimKernel<'nl>: Sized {
     ) -> SimStats;
 }
 
-/// Which simulation engine an [`AnyKernel`] runs on.
+/// The simulation engine a [`SimKernel`] runs on. [`TapeKernel`] is the
+/// only engine, so this has one variant; the type stays for source
+/// compatibility only (see `ServeConfig::kernel` in `dft-serve`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Per-evaluation netlist graph walk (the original engines).
-    Legacy,
     /// Compile-once levelized gate tape, 256 patterns per pass.
     Tape,
 }
 
-impl KernelKind {
-    /// Reads the kernel selection from the `AIDFT_KERNEL` environment
-    /// variable: `legacy` selects [`KernelKind::Legacy`]; anything else
-    /// (including unset) selects the default [`KernelKind::Tape`].
-    pub fn from_env() -> KernelKind {
-        match std::env::var("AIDFT_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("legacy") => KernelKind::Legacy,
-            _ => KernelKind::Tape,
-        }
-    }
+/// A defect the per-pattern operations of [`TapeKernel`] inject.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Defect {
+    /// A single stuck-at (or pin) fault.
+    StuckAt(Fault),
+    /// A two-net short. Both nets are pinned to their bridged values,
+    /// so a bridged net inside the other net's cone keeps its forced
+    /// value.
+    Bridge(BridgeFault),
+}
 
-    /// Stable lower-case name (`legacy` / `tape`).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Legacy => "legacy",
-            KernelKind::Tape => "tape",
-        }
+impl From<Fault> for Defect {
+    fn from(f: Fault) -> Defect {
+        Defect::StuckAt(f)
     }
 }
 
-/// The original graph-walk engines behind the [`SimKernel`] API.
-///
-/// Wraps [`TransitionSim`] (which itself wraps [`FaultSim`] and
-/// [`crate::GoodSim`]); exists so the legacy path stays reachable for
-/// cross-kernel verification while its direct entry points are
-/// deprecated.
-#[derive(Debug)]
-pub struct LegacyKernel<'nl> {
-    nl: &'nl Netlist,
-    tsim: TransitionSim<'nl>,
-}
-
-impl<'nl> LegacyKernel<'nl> {
-    /// Attaches a cancellation token (see [`FaultSim::with_cancel`]).
-    pub fn with_cancel(mut self, cancel: CancelToken) -> LegacyKernel<'nl> {
-        self.tsim = self.tsim.with_cancel(cancel);
-        self
-    }
-
-    /// Attaches the chaos harness (see [`FaultSim::with_chaos`]).
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> LegacyKernel<'nl> {
-        self.tsim = self.tsim.with_chaos(chaos);
-        self
-    }
-
-    /// Test-only poison hook (see [`FaultSim::with_poisoned_fault`]).
-    pub fn with_poisoned_fault(mut self, fault: Fault) -> LegacyKernel<'nl> {
-        self.tsim = self.tsim.with_poisoned_fault(fault);
-        self
-    }
-
-    /// Points run counters at `metrics`.
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> LegacyKernel<'nl> {
-        self.tsim = self.tsim.with_metrics(metrics);
-        self
-    }
-
-    /// Points span recording at `trace`.
-    pub fn with_trace(mut self, trace: TraceHandle) -> LegacyKernel<'nl> {
-        self.tsim = self.tsim.with_trace(trace);
-        self
-    }
-
-    /// The wrapped stuck-at engine (rich per-fault APIs used by
-    /// diagnosis live there).
-    pub fn fault_sim(&self) -> &FaultSim<'nl> {
-        self.tsim.fault_sim()
-    }
-}
-
-impl<'nl> SimKernel<'nl> for LegacyKernel<'nl> {
-    fn compile(nl: &'nl Netlist) -> Self {
-        LegacyKernel {
-            nl,
-            tsim: TransitionSim::new(nl),
-        }
-    }
-
-    fn netlist(&self) -> &'nl Netlist {
-        self.nl
-    }
-
-    fn eval_batch(&self, patterns: &PatternSet) -> Vec<Response> {
-        #[allow(deprecated)]
-        self.tsim.fault_sim().good_sim().simulate_all(patterns)
-    }
-
-    fn fault_batch(
-        &self,
-        patterns: &PatternSet,
-        list: &mut FaultList,
-        exec: &Executor,
-    ) -> SimStats {
-        #[allow(deprecated)]
-        self.tsim.fault_sim().run_with(patterns, list, exec)
-    }
-
-    fn transition_batch(
-        &self,
-        pairs: &[(Pattern, Pattern)],
-        list: &mut FaultList,
-        exec: &Executor,
-    ) -> SimStats {
-        #[allow(deprecated)]
-        self.tsim.run_with(pairs, list, exec)
+impl From<BridgeFault> for Defect {
+    fn from(b: BridgeFault) -> Defect {
+        Defect::Bridge(b)
     }
 }
 
@@ -200,9 +131,14 @@ impl<'nl> SimKernel<'nl> for LegacyKernel<'nl> {
 ///
 /// [`TapeKernel::compile`] levelizes and flattens the netlist into a
 /// [`GateTape`]; every batch then evaluates 256 patterns per pass and
-/// propagates faults with per-level event buckets. Scheduling,
-/// cancellation, chaos, and panic-isolation semantics mirror
-/// [`FaultSim::run_with`] exactly.
+/// propagates faults event by event in tape order.
+///
+/// Observation model (full scan): a fault is detected by a pattern when
+/// it changes a primary output or the D-pin value captured by any
+/// flip-flop. A fault on a flop's D pin is read at the flop itself; a
+/// fault on a flop's Q net is excited by scan-loading the opposite value
+/// and must propagate through logic to a sink, exactly like a
+/// pseudo-primary-input fault.
 #[derive(Debug)]
 pub struct TapeKernel<'nl> {
     nl: &'nl Netlist,
@@ -215,36 +151,45 @@ pub struct TapeKernel<'nl> {
 }
 
 impl<'nl> TapeKernel<'nl> {
-    /// Attaches a cancellation token; same drain-and-discard contract as
-    /// [`FaultSim::with_cancel`].
+    /// Attaches a cancellation token. Workers poll it once per fault;
+    /// when it fires, the pass drains and **discards** its detections
+    /// (see [`SimStats::interrupted`]), leaving the fault list untouched
+    /// so the pass can be repeated bit-identically.
     pub fn with_cancel(mut self, cancel: CancelToken) -> TapeKernel<'nl> {
         self.cancel = Some(cancel);
         self
     }
 
-    /// Attaches the chaos harness; injections key on fault-list indices,
-    /// so the same faults are hit as on the legacy engine.
+    /// Attaches the chaos harness: worker-panic and batch-delay
+    /// injections fire deterministically per fault-list index, so the
+    /// same faults are hit regardless of thread count.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> TapeKernel<'nl> {
         self.chaos = chaos.is_active().then_some(chaos);
         self
     }
 
-    /// Test-only poison hook; see [`FaultSim::with_poisoned_fault`].
+    /// Test-only hook: makes [`SimKernel::fault_batch`] panic when it
+    /// reaches `fault`'s batch, exercising the panic-isolation path end
+    /// to end. The panic is caught per fault and reported via
+    /// [`SimStats::failed_batches`]; every other batch completes
+    /// bit-identically to a clean run. Never set outside tests.
     pub fn with_poisoned_fault(mut self, fault: Fault) -> TapeKernel<'nl> {
         self.poison = Some(fault);
         self
     }
 
-    /// Points run counters at `metrics` (same counter families as the
-    /// legacy engines; `*_gate_evals` count wide evaluations).
+    /// Points run counters at `metrics` (`goodsim_*`, `faultsim_*`,
+    /// `transition_*`; `*_gate_evals` count wide evaluations). Counters
+    /// are flushed once per batch call; the per-fault hot path is
+    /// untouched.
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> TapeKernel<'nl> {
         self.metrics = metrics;
         self
     }
 
-    /// Points span recording at `trace`; emits the same span names as
-    /// the legacy engines (`faultsim_run`, `goodsim_eval`,
-    /// `faultsim_batch`, `transition_run`, `transition_batch`).
+    /// Points span recording at `trace`: `faultsim_run`, `goodsim_eval`
+    /// and worker-tagged `faultsim_batch` spans per stuck-at batch,
+    /// `transition_run` and `transition_batch` per transition batch.
     pub fn with_trace(mut self, trace: TraceHandle) -> TapeKernel<'nl> {
         self.trace = trace;
         self
@@ -263,8 +208,7 @@ impl<'nl> TapeKernel<'nl> {
         }
     }
 
-    /// Flushes one fault run's [`SimStats`] (same registry counters as
-    /// [`FaultSim`]).
+    /// Flushes one fault run's [`SimStats`] into the registry.
     fn flush_fault_stats(&self, stats: &SimStats) {
         if let Some(m) = self.metrics.get() {
             m.faultsim_runs.inc();
@@ -276,8 +220,7 @@ impl<'nl> TapeKernel<'nl> {
         }
     }
 
-    /// Flushes one transition run's [`SimStats`] (same registry counters
-    /// as [`TransitionSim`]).
+    /// Flushes one transition run's [`SimStats`] into the registry.
     fn flush_transition_stats(&self, stats: &SimStats) {
         if let Some(m) = self.metrics.get() {
             m.transition_runs.inc();
@@ -295,6 +238,105 @@ impl<'nl> TapeKernel<'nl> {
         (0..LANES)
             .find(|&l| det[l] != 0)
             .map(|l| (start + 64 * l) as u32 + det[l].trailing_zeros())
+    }
+
+    /// Good-machine simulation one 256-pattern block at a time: calls
+    /// `visit(start, count, good)` with the wide value of every tape
+    /// position for patterns `start..start + count`.
+    fn for_each_block(
+        &self,
+        patterns: &PatternSet,
+        mut visit: impl FnMut(usize, usize, &[WideWord]),
+    ) {
+        let mut vals = Vec::new();
+        let mut start = 0usize;
+        while start < patterns.len() {
+            let (src, count) = GateTape::pack_wide(patterns, start);
+            self.tape.eval_wide(&src, &mut vals);
+            self.note_good_pass();
+            visit(start, count, &vals);
+            start += WIDE_PATTERNS;
+        }
+    }
+
+    /// For each of `defects`, the ascending indices of the patterns that
+    /// detect it — no fault dropping. One good-machine pass per
+    /// 256-pattern block is shared by every defect.
+    pub fn detection_sets<D: Copy + Into<Defect>>(
+        &self,
+        patterns: &PatternSet,
+        defects: &[D],
+    ) -> Vec<Vec<u32>> {
+        let mut sets = vec![Vec::new(); defects.len()];
+        let mut ws = TapeWorkspace::new(&self.tape);
+        self.for_each_block(patterns, |start, count, good| {
+            let mask = GateTape::wide_mask(count);
+            for (set, &d) in sets.iter_mut().zip(defects) {
+                let (det, _) = self.tape.detect_defect(good, &mask, d.into(), &mut ws);
+                for (lane, &word) in det.iter().enumerate() {
+                    let mut w = word;
+                    while w != 0 {
+                        set.push((start + 64 * lane) as u32 + w.trailing_zeros());
+                        w &= w - 1;
+                    }
+                }
+            }
+        });
+        sets
+    }
+
+    /// For each of `defects`, its faulty response to every pattern (the
+    /// layout of [`SimKernel::eval_batch`]). One good-machine pass per
+    /// 256-pattern block is shared by every defect.
+    pub fn faulty_responses<D: Copy + Into<Defect>>(
+        &self,
+        patterns: &PatternSet,
+        defects: &[D],
+    ) -> Vec<Vec<Response>> {
+        let mut out = vec![Vec::with_capacity(patterns.len()); defects.len()];
+        let mut ws = TapeWorkspace::new(&self.tape);
+        self.for_each_block(patterns, |_, count, good| {
+            let mask = GateTape::wide_mask(count);
+            for (responses, &d) in out.iter_mut().zip(defects) {
+                let sinks = self.tape.faulty_sink_words(good, &mask, d.into(), &mut ws);
+                push_responses(&sinks, count, responses);
+            }
+        });
+        out
+    }
+
+    /// Broadside (launch-on-capture) pairs for scan `patterns`: the
+    /// launch vector is the scan-loaded pattern; the capture vector keeps
+    /// the primary inputs and replaces the pseudo-PI (flop) bits with the
+    /// functional response captured from the launch cycle.
+    pub fn broadside_pairs(&self, patterns: &PatternSet) -> Vec<(Pattern, Pattern)> {
+        let num_pi = self.nl.num_inputs();
+        let num_po = self.nl.num_outputs();
+        patterns
+            .iter()
+            .zip(self.eval_batch(patterns))
+            .map(|(p, r)| {
+                let mut v2 = p.clone();
+                // Response layout: POs first, then flop D-pin captures.
+                for (ff, &bit) in r[num_po..].iter().enumerate() {
+                    v2[num_pi + ff] = bit;
+                }
+                (p.clone(), v2)
+            })
+            .collect()
+    }
+}
+
+/// Unpacks the first `count` patterns of a block's per-sink wide words
+/// into responses.
+fn push_responses(sinks: &[WideWord], count: usize, out: &mut Vec<Response>) {
+    for k in 0..count {
+        out.push(
+            sinks
+                .iter()
+                .map(|w| (w[k / 64] >> (k % 64)) & 1 == 1)
+                .collect(),
+        );
     }
 }
 
@@ -317,23 +359,9 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
 
     fn eval_batch(&self, patterns: &PatternSet) -> Vec<Response> {
         let mut out = Vec::with_capacity(patterns.len());
-        let mut vals = Vec::new();
-        let mut start = 0usize;
-        while start < patterns.len() {
-            let (src, count) = GateTape::pack_wide(patterns, start);
-            self.tape.eval_wide(&src, &mut vals);
-            self.note_good_pass();
-            let sinks = self.tape.sink_words_wide(&vals);
-            for k in 0..count {
-                out.push(
-                    sinks
-                        .iter()
-                        .map(|w| (w[k / 64] >> (k % 64)) & 1 == 1)
-                        .collect(),
-                );
-            }
-            start += WIDE_PATTERNS;
-        }
+        self.for_each_block(patterns, |_, count, good| {
+            push_responses(&self.tape.sink_words_wide(good), count, &mut out);
+        });
         out
     }
 
@@ -567,9 +595,9 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
                 let stuck = Fault {
                     site: fault.site,
                     kind: if fault.kind.stuck_value() {
-                        dft_fault::FaultKind::StuckAt1
+                        FaultKind::StuckAt1
                     } else {
-                        dft_fault::FaultKind::StuckAt0
+                        FaultKind::StuckAt0
                     },
                 };
                 for b in &blocks {
@@ -604,159 +632,53 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
     }
 }
 
-/// A runtime-selected [`SimKernel`]: the one type flow code holds so the
-/// engine stays swappable without generics bubbling through every API.
-#[derive(Debug)]
-pub enum AnyKernel<'nl> {
-    /// Graph-walk engines (deprecated entry points, kept for
-    /// cross-checking).
-    Legacy(LegacyKernel<'nl>),
-    /// Compile-once gate tape (default).
-    Tape(TapeKernel<'nl>),
-}
-
-impl<'nl> AnyKernel<'nl> {
-    /// Compiles `nl` on an explicitly chosen engine.
-    pub fn compile_kind(kind: KernelKind, nl: &'nl Netlist) -> AnyKernel<'nl> {
-        match kind {
-            KernelKind::Legacy => AnyKernel::Legacy(LegacyKernel::compile(nl)),
-            KernelKind::Tape => AnyKernel::Tape(TapeKernel::compile(nl)),
-        }
-    }
-
-    /// Which engine this kernel runs on.
-    pub fn kind(&self) -> KernelKind {
-        match self {
-            AnyKernel::Legacy(_) => KernelKind::Legacy,
-            AnyKernel::Tape(_) => KernelKind::Tape,
-        }
-    }
-
-    /// Attaches a cancellation token (drain-and-discard contract).
-    pub fn with_cancel(self, cancel: CancelToken) -> AnyKernel<'nl> {
-        match self {
-            AnyKernel::Legacy(k) => AnyKernel::Legacy(k.with_cancel(cancel)),
-            AnyKernel::Tape(k) => AnyKernel::Tape(k.with_cancel(cancel)),
-        }
-    }
-
-    /// Attaches the chaos harness.
-    pub fn with_chaos(self, chaos: ChaosConfig) -> AnyKernel<'nl> {
-        match self {
-            AnyKernel::Legacy(k) => AnyKernel::Legacy(k.with_chaos(chaos)),
-            AnyKernel::Tape(k) => AnyKernel::Tape(k.with_chaos(chaos)),
-        }
-    }
-
-    /// Test-only poison hook.
-    pub fn with_poisoned_fault(self, fault: Fault) -> AnyKernel<'nl> {
-        match self {
-            AnyKernel::Legacy(k) => AnyKernel::Legacy(k.with_poisoned_fault(fault)),
-            AnyKernel::Tape(k) => AnyKernel::Tape(k.with_poisoned_fault(fault)),
-        }
-    }
-
-    /// Points run counters at `metrics`.
-    pub fn with_metrics(self, metrics: MetricsHandle) -> AnyKernel<'nl> {
-        match self {
-            AnyKernel::Legacy(k) => AnyKernel::Legacy(k.with_metrics(metrics)),
-            AnyKernel::Tape(k) => AnyKernel::Tape(k.with_metrics(metrics)),
-        }
-    }
-
-    /// Points span recording at `trace`.
-    pub fn with_trace(self, trace: TraceHandle) -> AnyKernel<'nl> {
-        match self {
-            AnyKernel::Legacy(k) => AnyKernel::Legacy(k.with_trace(trace)),
-            AnyKernel::Tape(k) => AnyKernel::Tape(k.with_trace(trace)),
-        }
-    }
-}
-
-impl<'nl> SimKernel<'nl> for AnyKernel<'nl> {
-    /// Compiles on the engine selected by `AIDFT_KERNEL` (default:
-    /// tape). See [`KernelKind::from_env`].
-    fn compile(nl: &'nl Netlist) -> Self {
-        AnyKernel::compile_kind(KernelKind::from_env(), nl)
-    }
-
-    fn netlist(&self) -> &'nl Netlist {
-        match self {
-            AnyKernel::Legacy(k) => k.netlist(),
-            AnyKernel::Tape(k) => k.netlist(),
-        }
-    }
-
-    fn eval_batch(&self, patterns: &PatternSet) -> Vec<Response> {
-        match self {
-            AnyKernel::Legacy(k) => k.eval_batch(patterns),
-            AnyKernel::Tape(k) => k.eval_batch(patterns),
-        }
-    }
-
-    fn fault_batch(
-        &self,
-        patterns: &PatternSet,
-        list: &mut FaultList,
-        exec: &Executor,
-    ) -> SimStats {
-        match self {
-            AnyKernel::Legacy(k) => k.fault_batch(patterns, list, exec),
-            AnyKernel::Tape(k) => k.fault_batch(patterns, list, exec),
-        }
-    }
-
-    fn transition_batch(
-        &self,
-        pairs: &[(Pattern, Pattern)],
-        list: &mut FaultList,
-        exec: &Executor,
-    ) -> SimStats {
-        match self {
-            AnyKernel::Legacy(k) => k.transition_batch(pairs, list, exec),
-            AnyKernel::Tape(k) => k.transition_batch(pairs, list, exec),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{oracle, FiveSim};
     use dft_fault::{universe_stuck_at, universe_transition, FaultStatus};
-    use dft_netlist::generators::{c17, counter, mac_pe, ripple_adder};
+    use dft_netlist::generators::{c17, counter, mac_pe, ripple_adder, s27};
 
     fn statuses(list: &FaultList) -> Vec<FaultStatus> {
         (0..list.faults().len()).map(|i| list.status(i)).collect()
     }
 
     #[test]
-    fn kernels_agree_on_fault_batches_across_threads() {
-        for nl in [c17(), ripple_adder(8), counter(6), mac_pe(4)] {
-            let ps = PatternSet::random(&nl, 200, 99);
-            let legacy = LegacyKernel::compile(&nl);
+    fn fault_batch_matches_oracle_across_threads() {
+        for nl in [c17(), s27(), ripple_adder(8), counter(6), mac_pe(4)] {
+            let ps = PatternSet::random(&nl, 300, 99);
+            let sim = FiveSim::new(&nl);
+            let faults = universe_stuck_at(&nl);
+            // First detecting pattern of each fault, one pattern at a time.
+            let want: Vec<FaultStatus> = faults
+                .iter()
+                .map(|&f| {
+                    ps.iter()
+                        .position(|p| oracle::detects(&sim, p, f))
+                        .map_or(FaultStatus::Undetected, |i| FaultStatus::Detected(i as u32))
+                })
+                .collect();
             let tape = TapeKernel::compile(&nl);
-            let mut base = FaultList::new(universe_stuck_at(&nl));
-            let s0 = legacy.fault_batch(&ps, &mut base, &Executor::serial());
-            for threads in [1usize, 2, 7] {
-                let mut list = FaultList::new(universe_stuck_at(&nl));
+            for threads in [1usize, 2, 4, 7] {
+                let mut list = FaultList::new(faults.clone());
                 let s = tape.fault_batch(&ps, &mut list, &Executor::with_threads(threads));
-                assert_eq!(statuses(&base), statuses(&list), "{}", nl.name());
-                assert_eq!(s0.detected, s.detected);
-                assert_eq!(s0.patterns, s.patterns);
-                assert_eq!(s0.faults_simulated, s.faults_simulated);
+                assert_eq!(statuses(&list), want, "{} threads={threads}", nl.name());
+                assert_eq!(s.detected, list.num_detected());
+                assert_eq!(s.patterns, ps.len());
+                assert_eq!(s.faults_simulated, faults.len());
             }
         }
     }
 
     #[test]
-    fn kernels_agree_on_good_eval() {
-        for nl in [c17(), counter(5), mac_pe(3)] {
-            let ps = PatternSet::random(&nl, 137, 3);
-            let legacy = LegacyKernel::compile(&nl);
-            let tape = TapeKernel::compile(&nl);
+    fn eval_batch_matches_oracle() {
+        for nl in [c17(), s27(), counter(5), mac_pe(3)] {
+            let ps = PatternSet::random(&nl, 300, 3);
+            let sim = FiveSim::new(&nl);
+            let want: Vec<Response> = ps.iter().map(|p| oracle::response(&sim, p, None)).collect();
             assert_eq!(
-                legacy.eval_batch(&ps),
-                tape.eval_batch(&ps),
+                TapeKernel::compile(&nl).eval_batch(&ps),
+                want,
                 "{}",
                 nl.name()
             );
@@ -764,40 +686,31 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_transition_batches() {
-        for nl in [ripple_adder(8), counter(6), mac_pe(4)] {
-            let ps = PatternSet::random(&nl, 150, 17);
+    fn transition_batch_matches_oracle() {
+        for nl in [s27(), ripple_adder(8), counter(6), mac_pe(4)] {
+            let ps = PatternSet::random(&nl, 280, 17);
             let pairs: Vec<(Pattern, Pattern)> = (0..ps.len() - 1)
                 .map(|i| (ps.pattern(i).clone(), ps.pattern(i + 1).clone()))
                 .collect();
-            let legacy = LegacyKernel::compile(&nl);
+            let sim = FiveSim::new(&nl);
+            let faults = universe_transition(&nl);
+            let want: Vec<FaultStatus> = faults
+                .iter()
+                .map(|&f| {
+                    pairs
+                        .iter()
+                        .position(|(l, c)| oracle::detects_transition(&sim, l, c, f))
+                        .map_or(FaultStatus::Undetected, |i| FaultStatus::Detected(i as u32))
+                })
+                .collect();
             let tape = TapeKernel::compile(&nl);
-            let mut base = FaultList::new(universe_transition(&nl));
-            let s0 = legacy.transition_batch(&pairs, &mut base, &Executor::serial());
             for threads in [1usize, 3] {
-                let mut list = FaultList::new(universe_transition(&nl));
+                let mut list = FaultList::new(faults.clone());
                 let s = tape.transition_batch(&pairs, &mut list, &Executor::with_threads(threads));
-                assert_eq!(statuses(&base), statuses(&list), "{}", nl.name());
-                assert_eq!(s0.detected, s.detected);
+                assert_eq!(statuses(&list), want, "{} threads={threads}", nl.name());
+                assert_eq!(s.detected, list.num_detected());
             }
         }
-    }
-
-    #[test]
-    fn env_selects_kernel_kind() {
-        // Don't mutate the environment (tests run in-process threads);
-        // just pin the explicit constructors and the default.
-        let nl = c17();
-        assert_eq!(
-            AnyKernel::compile_kind(KernelKind::Legacy, &nl).kind(),
-            KernelKind::Legacy
-        );
-        assert_eq!(
-            AnyKernel::compile_kind(KernelKind::Tape, &nl).kind(),
-            KernelKind::Tape
-        );
-        assert_eq!(KernelKind::Legacy.name(), "legacy");
-        assert_eq!(KernelKind::Tape.name(), "tape");
     }
 
     #[test]

@@ -1,27 +1,19 @@
 //! Logic simulation and fault simulation.
 //!
-//! The front door is the [`SimKernel`] trait: compile a
-//! [`dft_netlist::Netlist`] once, then run good-machine
+//! The front door is the [`SimKernel`] trait and its one engine,
+//! [`TapeKernel`]: compile a [`dft_netlist::Netlist`] once into a
+//! levelized [`GateTape`], then run good-machine
 //! ([`SimKernel::eval_batch`]), stuck-at PPSFP
 //! ([`SimKernel::fault_batch`]), and transition-delay
-//! ([`SimKernel::transition_batch`]) simulation against the compiled
-//! design. Two engines implement it:
+//! ([`SimKernel::transition_batch`]) simulation against it, 256 patterns
+//! per pass (`[u64; 4]` lanes). For diagnosis and defective dies the
+//! kernel also reports, with no fault dropping, which patterns detect
+//! each stuck-at or bridge [`Defect`] ([`TapeKernel::detection_sets`])
+//! and its faulty responses ([`TapeKernel::faulty_responses`]).
 //!
-//! * [`TapeKernel`] — the default: a compile-once levelized [`GateTape`]
-//!   evaluated 256 patterns per pass (`[u64; 4]` lanes).
-//! * [`LegacyKernel`] — the original per-evaluation graph walkers,
-//!   retained for cross-kernel verification (`AIDFT_KERNEL=legacy`).
-//!
-//! [`AnyKernel`] picks between them at runtime. The underlying engines
-//! remain available for rich per-fault APIs (diagnosis, PODEM support):
-//!
-//! * [`GoodSim`] — 64-way bit-parallel good-machine simulation.
-//! * [`FiveSim`] — five-valued (0, 1, X, D, D̄) simulation with
-//!   single-fault injection; the engine under PODEM.
-//! * [`FaultSim`] — PPSFP stuck-at fault simulation, plus a
-//!   launch/capture wrapper for transition-delay faults
-//!   ([`TransitionSim`]). Their batch entry points are deprecated in
-//!   favor of the kernel API.
+//! [`FiveSim`] is the five-valued (0, 1, X, D, D̄) simulator with
+//! single-fault injection: the engine under PODEM and the D-algorithm,
+//! and the independent oracle the tape is tested against.
 //!
 //! Plus [`testability`]: COP signal probabilities and SCOAP
 //! controllability/observability, used for ATPG backtrace guidance and
@@ -32,10 +24,10 @@
 //! ```
 //! use dft_netlist::generators::c17;
 //! use dft_fault::{universe_stuck_at, FaultList};
-//! use dft_logicsim::{AnyKernel, Executor, PatternSet, SimKernel};
+//! use dft_logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
 //!
 //! let nl = c17();
-//! let kernel = AnyKernel::compile(&nl); // honours AIDFT_KERNEL
+//! let kernel = TapeKernel::compile(&nl);
 //! let patterns = PatternSet::random(&nl, 32, 0xBEEF);
 //! let mut list = FaultList::new(universe_stuck_at(&nl));
 //! kernel.fault_batch(&patterns, &mut list, &Executor::serial());
@@ -46,24 +38,33 @@
 #![warn(missing_docs)]
 
 mod cube;
-mod deductive;
 pub mod exec;
 mod fivesim;
-mod goodsim;
 mod kernel;
 mod patterns;
-mod ppsfp;
 pub mod tape;
 pub mod testability;
-mod transition;
 
 pub use cube::TestCube;
-pub use deductive::DeductiveSim;
 pub use exec::{ExecError, Executor, Parallelism};
 pub use fivesim::FiveSim;
-pub use goodsim::GoodSim;
-pub use kernel::{AnyKernel, KernelKind, LegacyKernel, SimKernel, TapeKernel};
+pub use kernel::{Defect, KernelKind, SimKernel, SimStats, TapeKernel};
 pub use patterns::{Pattern, PatternSet, Response};
-pub use ppsfp::{FaultSim, SimStats, SimWorkspace};
 pub use tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
-pub use transition::{broadside_pairs, TransitionSim};
+
+#[cfg(test)]
+mod oracle;
+
+// Behaviour tests of the tape kernel, one module per kind of simulation.
+#[cfg(test)]
+mod goodsim {
+    mod tests;
+}
+#[cfg(test)]
+mod ppsfp {
+    mod tests;
+}
+#[cfg(test)]
+mod transition {
+    mod tests;
+}

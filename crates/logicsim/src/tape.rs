@@ -4,25 +4,23 @@
 //! flat, levelized, structure-of-arrays instruction tape: gates renumbered
 //! into `(level, GateId)` order, fanin/fanout adjacency flattened into
 //! `u32` range arrays, and per-level slices precomputed. The tape is
-//! immutable and reused across every pattern set, so the graph walk that
-//! the legacy simulators repeat per evaluation is paid exactly once.
+//! immutable and reused across every pattern set, so the graph walk is
+//! paid exactly once.
 //!
 //! Evaluation is 256 patterns per pass: values are [`WideWord`]s —
-//! `[u64; 4]` lanes, laid out so each lane is one legacy 64-pattern block
-//! (`std::simd`-ready; the lane loops vectorize as straight-line code).
-//! Fault propagation replaces the legacy level-sorted insertion frontier
-//! with per-level buckets, which removes both the quadratic frontier
-//! insert and the per-gate fanin allocation from the hot path.
+//! `[u64; 4]` lanes, each lane one 64-pattern block (`std::simd`-ready;
+//! the lane loops vectorize as straight-line code). Fault propagation
+//! sweeps a position-ordered frontier bitset, so it needs no sorted
+//! insertion and no per-gate allocation in the hot path.
 //!
-//! Detection semantics are bit-identical to the legacy engines: the
-//! detect word of a (fault, pattern block) is an exact function of both,
-//! and first-detection order falls out of scanning blocks (and lanes
-//! within a wide block) in pattern order.
+//! The detect word of a (fault, pattern block) is an exact function of
+//! both, and first-detection order falls out of scanning blocks (and
+//! lanes within a wide block) in pattern order.
 
-use dft_fault::{Fault, FaultSite};
+use dft_fault::{BridgeFault, Fault, FaultSite};
 use dft_netlist::{GateId, GateKind, Levelization, Netlist};
 
-use crate::PatternSet;
+use crate::{Defect, PatternSet};
 
 /// Number of 64-bit lanes in a [`WideWord`].
 pub const LANES: usize = 4;
@@ -31,8 +29,8 @@ pub const LANES: usize = 4;
 pub const WIDE_PATTERNS: usize = 64 * LANES;
 
 /// One simulation value for 256 patterns: lane `l` carries patterns
-/// `64*l .. 64*(l+1)` of the wide block, in the same bit layout as the
-/// legacy 64-pattern `u64` words.
+/// `64*l .. 64*(l+1)` of the wide block, bit `k` of a lane being pattern
+/// `64*l + k`.
 pub type WideWord = [u64; LANES];
 
 const WIDE_ZERO: WideWord = [0; LANES];
@@ -120,12 +118,13 @@ pub struct GateTape {
     pos_of: Vec<u32>,
     /// Positions of the combinational sources, in pattern-bit order.
     sources: Vec<u32>,
+    /// Positions of the combinational sinks, in response order.
+    sinks: Vec<u32>,
     /// Position whose value each sink reports: the sink itself for PO
     /// markers, the D driver for flip-flops.
     sink_value_pos: Vec<u32>,
     /// `true` when a change at this position is observable: the position
-    /// is a PO marker, or its value is captured by a sink flop's D pin
-    /// (same observability rule as the legacy detection scan).
+    /// is a PO marker, or its value is captured by a sink flop's D pin.
     observable: Vec<bool>,
     /// Positions evaluated by a forward pass (everything but
     /// inputs/flops), in tape order.
@@ -265,6 +264,7 @@ impl GateTape {
             .iter()
             .map(|s| pos_of[s.index()])
             .collect();
+        let sinks: Vec<u32> = sink_ids.iter().map(|s| pos_of[s.index()]).collect();
         let mut sink_value_pos = Vec::with_capacity(sink_ids.len());
         for &s in &sink_ids {
             let pos = pos_of[s.index()];
@@ -285,6 +285,7 @@ impl GateTape {
             orig: by_level,
             pos_of,
             sources,
+            sinks,
             sink_value_pos,
             observable,
             eval_list,
@@ -376,7 +377,8 @@ impl GateTape {
 
     /// Evaluates one wide block: `src[s]` carries 256 values of source
     /// `s`. Fills `vals` with one [`WideWord`] per tape position (flops
-    /// carry their Q/source value, as in the legacy good machine).
+    /// carry their Q/source value; their D-pin response is read from the
+    /// D driver by [`GateTape::sink_words_wide`]).
     pub fn eval_wide(&self, src: &[WideWord], vals: &mut Vec<WideWord>) {
         assert_eq!(src.len(), self.sources.len(), "source width");
         vals.clear();
@@ -438,10 +440,6 @@ impl GateTape {
     /// lane `l` set means pattern `64*l + k` of the block detects the
     /// fault. Also returns the number of wide faulty gate evaluations.
     ///
-    /// The detect word is exact (complete single-fault propagation), so
-    /// it is bit-for-bit the lane-packed concatenation of the legacy
-    /// [`crate::FaultSim::detect_word`] results for the four underlying
-    /// 64-pattern blocks.
     pub fn detect_wide(
         &self,
         good: &[WideWord],
@@ -495,8 +493,91 @@ impl GateTape {
             },
         }
 
-        let (det, e) = self.propagate_and_detect(good, mask, ws);
+        let (det, e) = self.propagate_and_detect::<false>(good, mask, ws);
         (det, evals + e)
+    }
+
+    /// The 256-pattern detection word of `bridge` (see
+    /// [`GateTape::detect_wide`]). Both nets are pinned to their bridged
+    /// values, even one whose value does not change: a bridged net inside
+    /// the other net's cone keeps its forced value rather than being
+    /// re-evaluated (feedback bridges resolve to the one-pass static
+    /// value).
+    pub fn detect_bridge_wide(
+        &self,
+        good: &[WideWord],
+        mask: &WideWord,
+        bridge: BridgeFault,
+        ws: &mut TapeWorkspace,
+    ) -> (WideWord, u64) {
+        let (pa, pb) = (self.position(bridge.a), self.position(bridge.b));
+        let (mut fa, mut fb) = (WIDE_ZERO, WIDE_ZERO);
+        for l in 0..LANES {
+            (fa[l], fb[l]) = bridge.faulty_words(good[pa][l], good[pb][l]);
+        }
+        let act: WideWord =
+            std::array::from_fn(|l| ((fa[l] ^ good[pa][l]) | (fb[l] ^ good[pb][l])) & mask[l]);
+        if wide_all_zero(&act) {
+            return (WIDE_ZERO, 0);
+        }
+        ws.begin();
+        ws.set(pa, fa);
+        ws.set(pb, fb);
+        self.propagate_and_detect::<true>(good, mask, ws)
+    }
+
+    /// The detection word of any [`Defect`]: [`GateTape::detect_wide`]
+    /// or [`GateTape::detect_bridge_wide`].
+    pub fn detect_defect(
+        &self,
+        good: &[WideWord],
+        mask: &WideWord,
+        defect: Defect,
+        ws: &mut TapeWorkspace,
+    ) -> (WideWord, u64) {
+        match defect {
+            Defect::StuckAt(f) => self.detect_wide(good, mask, f, ws),
+            Defect::Bridge(b) => self.detect_bridge_wide(good, mask, b, ws),
+        }
+    }
+
+    /// The per-sink words of the faulty machine with `defect` injected:
+    /// the faulty counterpart of [`GateTape::sink_words_wide`]. A fault
+    /// on a flop's D pin (or a PO marker's pin) is read at that sink
+    /// itself; every other sink reads the propagated faulty value.
+    pub fn faulty_sink_words(
+        &self,
+        good: &[WideWord],
+        mask: &WideWord,
+        defect: Defect,
+        ws: &mut TapeWorkspace,
+    ) -> Vec<WideWord> {
+        let (det, _) = self.detect_defect(good, mask, defect, ws);
+        // A pin fault on a sink returns before arming the workspace, and
+        // so does a defect that is never activated; either way no other
+        // sink changes.
+        let pinned_sink = match defect {
+            Defect::StuckAt(f) if f.site.pin.is_some() => {
+                let gate_pos = self.position(f.site.gate);
+                matches!(self.kinds[gate_pos], GateKind::Dff | GateKind::Output).then(|| {
+                    (
+                        gate_pos as u32,
+                        [if f.kind.stuck_value() { !0 } else { 0 }; LANES],
+                    )
+                })
+            }
+            _ => None,
+        };
+        let overlay = pinned_sink.is_none() && !wide_all_zero(&det);
+        self.sinks
+            .iter()
+            .zip(&self.sink_value_pos)
+            .map(|(&s, &p)| match pinned_sink {
+                Some((pin_pos, forced)) if pin_pos == s => forced,
+                _ if overlay => ws.value_or(p as usize, good),
+                _ => good[p as usize],
+            })
+            .collect()
     }
 
     /// Extracts one 64-pattern lane of a wide evaluation into a packed
@@ -509,7 +590,7 @@ impl GateTape {
     /// Computes the 64-pattern detection word of `fault` against the lane
     /// of good values loaded via [`TapeWorkspace::load_lane`]: the exact
     /// scalar equivalent of [`GateTape::detect_wide`] restricted to one
-    /// legacy block.
+    /// lane.
     ///
     /// Faults are dropped on first detection and most drops happen in the
     /// first 64 patterns of a wide block, so propagating the first lane
@@ -669,13 +750,16 @@ impl GateTape {
 
     /// Position-ordered event propagation from the injected roots with
     /// detection folded in (same bitset frontier as the scalar path; see
-    /// [`GateTape::detect_lane`]). Mirrors the legacy event semantics
-    /// exactly — an event dies where the recomputed value matches the
-    /// good value on every live pattern — and never allocates in the
-    /// loop. Observability is the legacy rule: PO markers observe their
-    /// own value; any changed net feeding a sink flop's D pin is
-    /// captured.
-    fn propagate_and_detect(
+    /// [`GateTape::detect_lane`]). An event dies where the recomputed
+    /// value matches the good value on every live pattern, and the loop
+    /// never allocates. PO markers observe their own value; any changed
+    /// net feeding a sink flop's D pin is captured.
+    ///
+    /// With `PINNED` (bridges only), a scheduled gate that is itself an
+    /// injection root keeps its forced value. Stuck-at roots are never
+    /// scheduled (fanouts point strictly forward), so the stuck-at path
+    /// compiles without the check.
+    fn propagate_and_detect<const PINNED: bool>(
         &self,
         good: &[WideWord],
         mask: &WideWord,
@@ -712,6 +796,9 @@ impl GateTape {
             ws.sched[w] = bits & (bits - 1);
             pending -= 1;
             let pos = (w << 6) | bits.trailing_zeros() as usize;
+            if PINNED && ws.stamp[pos] == ws.epoch {
+                continue;
+            }
             let nd = self.nodes[pos];
             let nx = self.nodes[pos + 1];
             // Gather: a fanin stamped this epoch reads its faulty value,
@@ -872,74 +959,82 @@ impl TapeWorkspace {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
     use super::*;
-    use crate::{FaultSim, GoodSim, SimWorkspace};
+    use crate::{oracle, FiveSim};
     use dft_fault::universe_stuck_at;
-    use dft_netlist::generators::{c17, counter, mac_pe, ripple_adder};
-
-    /// The legacy 64-block detect word for comparison.
-    fn legacy_detect(sim: &FaultSim<'_>, ps: &PatternSet, fault: Fault) -> Vec<u64> {
-        let mut ws = SimWorkspace::new(sim.good_sim().netlist().num_gates());
-        ps.blocks()
-            .map(|(_, words, count)| {
-                let good = sim.good_sim().eval_block(&words);
-                let mask = if count >= 64 { !0 } else { (1u64 << count) - 1 };
-                sim.detect_word(&good, mask, fault, &mut ws).0
-            })
-            .collect()
-    }
+    use dft_netlist::generators::{c17, counter, mac_pe, ripple_adder, s27};
+    use dft_netlist::Logic;
 
     #[test]
-    fn wide_good_eval_matches_legacy() {
-        for nl in [c17(), ripple_adder(8), counter(6), mac_pe(4)] {
+    fn wide_good_eval_matches_oracle() {
+        for nl in [c17(), s27(), ripple_adder(8), counter(6), mac_pe(4)] {
             let tape = GateTape::compile(&nl);
-            let sim = GoodSim::new(&nl);
+            let sim = FiveSim::new(&nl);
+            // 300 patterns straddles a 256-wide boundary.
             let ps = PatternSet::random(&nl, 300, 7);
-            let legacy = sim.simulate_all(&ps);
             let mut vals = Vec::new();
-            let mut got = Vec::new();
             let mut start = 0;
             while start < ps.len() {
                 let (src, count) = GateTape::pack_wide(&ps, start);
                 tape.eval_wide(&src, &mut vals);
-                let sinks = tape.sink_words_wide(&vals);
                 for k in 0..count {
-                    got.push(
-                        sinks
-                            .iter()
-                            .map(|w| (w[k / 64] >> (k % 64)) & 1 == 1)
-                            .collect::<Vec<bool>>(),
-                    );
+                    let asg: Vec<Logic> = ps
+                        .pattern(start + k)
+                        .iter()
+                        .map(|&b| Logic::from_bool(b))
+                        .collect();
+                    // Gate for gate, every tape position.
+                    for (idx, &want) in sim.simulate(&asg, None).iter().enumerate() {
+                        let pos = tape.position(GateId(idx as u32));
+                        let got = (vals[pos][k / 64] >> (k % 64)) & 1 == 1;
+                        assert_eq!(
+                            Logic::from_bool(got),
+                            want,
+                            "{} gate {idx} pattern {}",
+                            nl.name(),
+                            start + k
+                        );
+                    }
                 }
                 start += WIDE_PATTERNS;
             }
-            assert_eq!(got, legacy, "{}", nl.name());
         }
     }
 
     #[test]
-    fn wide_detect_words_match_legacy_lane_for_lane() {
-        for nl in [c17(), ripple_adder(6), counter(5), mac_pe(3)] {
+    fn wide_detect_words_match_oracle_lane_for_lane() {
+        for nl in [c17(), s27(), ripple_adder(6), counter(5), mac_pe(3)] {
             let tape = GateTape::compile(&nl);
-            let sim = FaultSim::new(&nl);
-            let ps = PatternSet::random(&nl, 200, 23);
+            let sim = FiveSim::new(&nl);
+            let ps = PatternSet::random(&nl, 300, 23);
             let mut ws = TapeWorkspace::new(&tape);
             let mut vals = Vec::new();
             for fault in universe_stuck_at(&nl) {
-                let legacy = legacy_detect(&sim, &ps, fault);
-                let mut wide = Vec::new();
                 let mut start = 0;
                 while start < ps.len() {
                     let (src, count) = GateTape::pack_wide(&ps, start);
                     tape.eval_wide(&src, &mut vals);
                     let mask = GateTape::wide_mask(count);
                     let (det, _) = tape.detect_wide(&vals, &mask, fault, &mut ws);
-                    let lanes = count.div_ceil(64);
-                    wide.extend_from_slice(&det[..lanes]);
+                    // The scalar lane path agrees with the wide one.
+                    for (lane, &lane_mask) in mask.iter().enumerate() {
+                        ws.load_lane(&GateTape::lane_values(&vals, lane));
+                        let (lane_det, _) = tape.detect_lane(lane_mask, fault, &mut ws);
+                        assert_eq!(lane_det, det[lane], "{} fault {fault}", nl.name());
+                    }
+                    for k in 0..count {
+                        let want = oracle::detects(&sim, ps.pattern(start + k), fault);
+                        let got = (det[k / 64] >> (k % 64)) & 1 == 1;
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} fault {fault} pattern {}",
+                            nl.name(),
+                            start + k
+                        );
+                    }
                     start += WIDE_PATTERNS;
                 }
-                assert_eq!(wide, legacy, "{} fault {fault}", nl.name());
             }
         }
     }

@@ -287,20 +287,18 @@ registry! {
         atpg_escalations: "Aborted PODEM targets escalated to the D-algorithm retry.",
         atpg_rescued: "Escalated targets the D-algorithm resolved (test or untestable proof).",
         // --- Logic simulation ---
-        goodsim_blocks: "64-pattern word blocks evaluated by the good machine.",
-        goodsim_gate_evals: "Good-machine word-gate evaluations (64 patterns each).",
+        goodsim_blocks: "256-pattern wide blocks evaluated by the good machine.",
+        goodsim_gate_evals: "Good-machine wide gate evaluations (256 patterns each).",
         faultsim_runs: "PPSFP fault-simulation runs.",
         faultsim_patterns: "Patterns applied across PPSFP runs.",
         faultsim_faults: "Undetected faults targeted at the start of PPSFP runs.",
         faultsim_detected: "Faults newly detected by PPSFP runs.",
-        faultsim_gate_evals: "Faulty-machine word-gate evaluations (PPSFP propagation).",
+        faultsim_gate_evals: "Faulty-machine gate evaluations (PPSFP propagation).",
         faultsim_failed_batches: "Fault batches lost to an isolated worker panic.",
         transition_runs: "Transition-fault simulation runs.",
         transition_pairs: "Launch/capture pairs applied across transition runs.",
         transition_detected: "Transition faults newly detected.",
         transition_gate_evals: "Faulty-machine evaluations inside transition runs.",
-        deductive_patterns: "Patterns simulated by the deductive engine.",
-        deductive_gate_evals: "Gate evaluations (good + flipped) in the deductive engine.",
         // --- EDT compression ---
         edt_cubes_attempted: "Cubes handed to the EDT encoder.",
         edt_cubes_encoded: "Cubes successfully encoded.",

@@ -1,6 +1,6 @@
 //! Test-application cost model and scan pattern formatting.
 
-use dft_logicsim::{AnyKernel, Pattern, PatternSet, SimKernel};
+use dft_logicsim::{Pattern, PatternSet, SimKernel, TapeKernel};
 use dft_netlist::Netlist;
 
 use crate::ScanInsertion;
@@ -93,7 +93,7 @@ pub fn expected_unloads(
     scan: &ScanInsertion,
     patterns: &PatternSet,
 ) -> Vec<Vec<Vec<bool>>> {
-    let sim = AnyKernel::compile(nl);
+    let sim = TapeKernel::compile(nl);
     let responses = sim.eval_batch(patterns);
     let num_po = nl.num_outputs();
     let ffs = nl.dffs();

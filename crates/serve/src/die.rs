@@ -16,7 +16,7 @@ use dft_aichip::seeded_defect;
 use dft_checkpoint::{CancelToken, ChaosConfig, ChaosSite};
 use dft_compress::Misr;
 use dft_fault::Fault;
-use dft_logicsim::{AnyKernel, FaultSim, PatternSet, Response, SimKernel};
+use dft_logicsim::{PatternSet, Response, SimKernel, TapeKernel};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_telemetry::{SessionState, TelemetryEvent, TelemetryHandle};
@@ -43,34 +43,31 @@ pub fn die_defect(die_id: u32, seed: u64, defect_rate: f64, universe: &[Fault]) 
     (unit < defect_rate).then(|| seeded_defect(die_id as usize, universe))
 }
 
-/// Shared, compile-once simulation engines for the whole fleet: every
-/// die evaluates through the same kernel (healthy) or the same legacy
-/// fault injector (defective). All methods take `&self` and are called
-/// from many client threads concurrently.
+/// The shared, compile-once simulation kernel for the whole fleet:
+/// healthy dies evaluate the good machine, defective dies their faulty
+/// responses, both on one [`TapeKernel`]. All methods take `&self` and
+/// are called from many client threads concurrently.
 #[derive(Debug)]
 pub struct DieSim<'nl> {
-    kernel: AnyKernel<'nl>,
-    fsim: FaultSim<'nl>,
+    kernel: TapeKernel<'nl>,
 }
 
 impl<'nl> DieSim<'nl> {
-    /// Compiles the fleet engines for `nl` on the stimulus's kernel.
-    pub fn new(nl: &'nl Netlist, stim: &ServedStimulus<'nl>) -> DieSim<'nl> {
+    /// Compiles the fleet kernel for `nl`. `_stim` is unused; the
+    /// parameter stays for source compatibility.
+    pub fn new(nl: &'nl Netlist, _stim: &ServedStimulus<'nl>) -> DieSim<'nl> {
         DieSim {
-            kernel: AnyKernel::compile_kind(stim.kernel_kind, nl),
-            fsim: FaultSim::new(nl),
+            kernel: TapeKernel::compile(nl),
         }
     }
 
     /// Responses of one die to `patterns`: the good machine for a
-    /// healthy die, per-pattern faulty responses for a defective one.
+    /// healthy die, the faulty machine for a defective one (one tape
+    /// call per window either way).
     pub fn responses(&self, patterns: &PatternSet, defect: Option<Fault>) -> Vec<Response> {
         match defect {
             None => self.kernel.eval_batch(patterns),
-            Some(f) => patterns
-                .iter()
-                .map(|p| self.fsim.faulty_response(p, f))
-                .collect(),
+            Some(f) => self.kernel.faulty_responses(patterns, &[f]).swap_remove(0),
         }
     }
 

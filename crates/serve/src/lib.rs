@@ -44,7 +44,7 @@
 //! Determinism contract: the final [`FleetState`] — per-die signatures,
 //! verdicts, grades, quarantines — is a pure function of the design,
 //! [`ServeConfig`], and chaos config, independent of client thread
-//! count, kernel choice, kill/resume cycles, and wall-clock timing.
+//! count, kill/resume cycles, and wall-clock timing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -607,7 +607,7 @@ fn session(shared: &Shared<'_>, stream: TcpStream) -> Result<(), FrameError> {
 /// loopback TCP with `cfg.client_threads` concurrent die clients, and
 /// returns the final state. The result is a pure function of
 /// `(design, cfg, chaos config)` — bit-identical for any thread count,
-/// kernel, wall-clock timing, and any kill/resume split. Dies whose
+/// wall-clock timing, and any kill/resume split. Dies whose
 /// circuit breaker trips are quarantined, never hung on.
 pub fn run_fleet(
     nl: &Netlist,

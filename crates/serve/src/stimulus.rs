@@ -12,7 +12,7 @@ use dft_atpg::{Atpg, AtpgConfig};
 use dft_checkpoint::fnv1a;
 use dft_compress::{Misr, ScanEdt};
 use dft_fault::{universe_stuck_at, Fault};
-use dft_logicsim::{AnyKernel, KernelKind, Pattern, PatternSet, Response, SimKernel};
+use dft_logicsim::{KernelKind, Pattern, PatternSet, Response, SimKernel, TapeKernel};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_scan::{insert_scan, ScanConfig, ScanInsertion};
@@ -68,7 +68,9 @@ pub struct ServeConfig {
     pub max_heartbeats: u32,
     /// SoC geometry for the harvest path.
     pub soc: dft_aichip::SocConfig,
-    /// Explicit kernel choice; `None` honors `AIDFT_KERNEL`.
+    /// Has no effect: the gate tape is the only simulation engine. The
+    /// field stays for source compatibility only and is excluded from
+    /// the fingerprint.
     pub kernel: Option<KernelKind>,
 }
 
@@ -100,8 +102,8 @@ impl ServeConfig {
     /// Content fingerprint for checkpoint compatibility: everything
     /// that changes the broadcast or the verdicts. Thread counts,
     /// checkpoint cadence, liveness knobs (backoff base, I/O deadline,
-    /// heartbeat tolerance), and the kernel (bit-identical by
-    /// contract) are excluded so a resume may cross any of them. The
+    /// heartbeat tolerance), and the inert `kernel` field are excluded
+    /// so a resume may cross any of them. The
     /// reconnect budget `max_reconnects` decides quarantine verdicts,
     /// so it is included.
     pub fn fingerprint(&self, design: &str) -> u64 {
@@ -155,8 +157,6 @@ pub struct ServedStimulus<'nl> {
     pub edt_encoded: usize,
     /// Patterns shipped flat (random fills + encoder rejects).
     pub edt_flat: usize,
-    /// Which kernel the golden references were computed on.
-    pub kernel_kind: KernelKind,
 }
 
 impl<'nl> ServedStimulus<'nl> {
@@ -228,8 +228,7 @@ impl<'nl> ServedStimulus<'nl> {
             .map(<[Stimulus]>::to_vec)
             .collect();
 
-        let kernel_kind = cfg.kernel.unwrap_or_else(KernelKind::from_env);
-        let kernel = AnyKernel::compile_kind(kernel_kind, nl)
+        let kernel = TapeKernel::compile(nl)
             .with_metrics(metrics.clone())
             .with_trace(trace.clone());
         let golden_responses = kernel.eval_batch(&patterns);
@@ -251,7 +250,6 @@ impl<'nl> ServedStimulus<'nl> {
             universe: universe_stuck_at(nl),
             edt_encoded,
             edt_flat,
-            kernel_kind,
         }
     }
 
@@ -367,7 +365,7 @@ mod tests {
         let mut b = a;
         b.client_threads = 4;
         b.checkpoint_every = 1;
-        b.kernel = Some(KernelKind::Legacy);
+        b.kernel = Some(KernelKind::Tape);
         b.backoff_base_ms = 0;
         b.io_timeout_ms = 50;
         b.max_heartbeats = 2;

@@ -8,7 +8,7 @@
 
 use dft_core::bist::{build_stumps, LogicBist};
 use dft_core::fault::{universe_stuck_at, FaultList};
-use dft_core::logicsim::{AnyKernel, Executor, SimKernel};
+use dft_core::logicsim::{Executor, SimKernel, TapeKernel};
 use dft_core::netlist::generators::mac_pe;
 use dft_core::netlist::NetlistStats;
 
@@ -18,7 +18,7 @@ fn main() {
 
     // --- Behavioural LBIST with a weighted second session ---------------
     let bist = LogicBist::new(&core, 32);
-    let sim = AnyKernel::compile(&core);
+    let sim = TapeKernel::compile(&core);
     let exec = Executor::serial();
     let mut list = FaultList::new(universe_stuck_at(&core));
     sim.fault_batch(&bist.patterns(512, 0xAB), &mut list, &exec);

@@ -112,13 +112,6 @@ fn bless_mode() -> bool {
     std::env::var("AIDFT_BLESS_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-fn legacy_kernel() -> bool {
-    matches!(
-        dft_core::config::KernelKind::from_env(),
-        dft_core::config::KernelKind::Legacy
-    )
-}
-
 /// Prints a `Golden` row literal for the observed run (bless mode).
 fn print_row(
     g: &Golden,
@@ -182,16 +175,6 @@ fn golden_flow_results_and_counters() {
         check("aborted", report.aborted as u64, g.aborted as u64);
         check("ratio_centi", ratio_centi, g.ratio_centi);
         for (key, want) in g.counters {
-            // `faultsim_gate_evals` counts engine work, not results: the
-            // tape and the graph walk legitimately evaluate different
-            // gate counts for the identical detections. The golden
-            // values are blessed under the default tape kernel; CI
-            // re-runs this suite under AIDFT_KERNEL=legacy to prove
-            // every *result* (patterns, coverage, detections) is
-            // bit-identical across kernels, skipping that one counter.
-            if *key == "faultsim_gate_evals" && legacy_kernel() {
-                continue;
-            }
             check(key, report.metrics.counter(key), *want);
         }
     }

@@ -1,9 +1,9 @@
 //! Golden-value regression suite for the test-floor fleet service:
 //! locks the full fleet summary (dies tested, failed, retested,
-//! harvested, ...) for a fixed 16-die mac4 fleet, on both simulation
-//! kernels. Every number is deterministic — defects are seeded from the
-//! fleet seed, signatures from the kernel contract — so any drift means
-//! an algorithmic change, intentional or not.
+//! harvested, ...) for a fixed 16-die mac4 fleet, and a digest of every
+//! die's reference signatures. Every number is deterministic — defects
+//! are seeded from the fleet seed, signatures from the kernel contract —
+//! so any drift means an algorithmic change, intentional or not.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -15,7 +15,6 @@
 //! `GOLDEN_DIE_SIGNATURES`.
 
 use dft_core::checkpoint::fnv1a;
-use dft_core::config::KernelKind;
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::benchmark_suite;
 use dft_core::netlist::Netlist;
@@ -57,51 +56,44 @@ fn bless_mode() -> bool {
     std::env::var("AIDFT_BLESS_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-fn golden_cfg(kernel: KernelKind) -> ServeConfig {
+fn golden_cfg() -> ServeConfig {
     ServeConfig {
         dies: 16,
         client_threads: 2,
-        kernel: Some(kernel),
         ..ServeConfig::default()
     }
 }
 
 #[test]
-fn golden_fleet_summary_both_kernels() {
+fn golden_fleet_summary() {
     let nl = mac4();
-    let tape = run_fleet(&nl, &golden_cfg(KernelKind::Tape), &ServeOpts::default())
+    let summary = run_fleet(&nl, &golden_cfg(), &ServeOpts::default())
         .unwrap()
         .summary;
     if bless_mode() {
         println!("const GOLDEN_FLEET: FleetSummary = FleetSummary {{");
-        println!("    dies: {},", tape.dies);
-        println!("    tested: {},", tape.tested);
-        println!("    passed: {},", tape.passed);
-        println!("    failed: {},", tape.failed);
-        println!("    defective: {},", tape.defective);
-        println!("    retested: {},", tape.retested);
-        println!("    harvested: {},", tape.harvested);
-        println!("    scrapped: {},", tape.scrapped);
-        println!("    full: {},", tape.full);
-        println!("    quarantined: {},", tape.quarantined);
-        println!("    untested: {},", tape.untested);
-        println!("    dppm_risk: {},", tape.dppm_risk);
-        println!("    signatures: {},", tape.signatures);
-        println!("    windows_per_die: {},", tape.windows_per_die);
+        println!("    dies: {},", summary.dies);
+        println!("    tested: {},", summary.tested);
+        println!("    passed: {},", summary.passed);
+        println!("    failed: {},", summary.failed);
+        println!("    defective: {},", summary.defective);
+        println!("    retested: {},", summary.retested);
+        println!("    harvested: {},", summary.harvested);
+        println!("    scrapped: {},", summary.scrapped);
+        println!("    full: {},", summary.full);
+        println!("    quarantined: {},", summary.quarantined);
+        println!("    untested: {},", summary.untested);
+        println!("    dppm_risk: {},", summary.dppm_risk);
+        println!("    signatures: {},", summary.signatures);
+        println!("    windows_per_die: {},", summary.windows_per_die);
         println!("}};");
         return;
     }
     assert_eq!(
-        tape, GOLDEN_FLEET,
-        "tape-kernel fleet summary drifted — if intentional, re-bless \
-         with AIDFT_BLESS_GOLDEN=1 (see file header)"
+        summary, GOLDEN_FLEET,
+        "fleet summary drifted — if intentional, re-bless with \
+         AIDFT_BLESS_GOLDEN=1 (see file header)"
     );
-    // The kernel contract says signatures are bit-identical across
-    // engines, so the whole summary must match too.
-    let legacy = run_fleet(&nl, &golden_cfg(KernelKind::Legacy), &ServeOpts::default())
-        .unwrap()
-        .summary;
-    assert_eq!(legacy, GOLDEN_FLEET, "legacy-kernel fleet summary");
 }
 
 /// FNV-1a digest of every golden die's reference window signatures.
@@ -112,11 +104,7 @@ const GOLDEN_DIE_SIGNATURES: u64 = 0xccd801bca163d2ff;
 #[test]
 fn golden_die_reference_signatures() {
     let nl = mac4();
-    let cfg = ServeConfig {
-        dies: 16,
-        client_threads: 2,
-        ..ServeConfig::default()
-    };
+    let cfg = golden_cfg();
     let stim = ServedStimulus::build(
         &nl,
         &cfg,
@@ -148,7 +136,7 @@ fn golden_die_reference_signatures() {
 #[test]
 fn golden_report_shape() {
     let nl = mac4();
-    let report = run_fleet(&nl, &golden_cfg(KernelKind::Tape), &ServeOpts::default()).unwrap();
+    let report = run_fleet(&nl, &golden_cfg(), &ServeOpts::default()).unwrap();
     let text = report.summary.render(std::time::Duration::from_millis(1));
     assert!(text.starts_with("fleet: 16 dies, 2 windows each"));
     assert!(text.contains("tested 16 | passed"));

@@ -4,7 +4,7 @@
 use dft_core::bist::LogicBist;
 use dft_core::diagnosis::{build_failure_log, diagnose, FailureLog};
 use dft_core::fault::{universe_stuck_at, Fault};
-use dft_core::logicsim::PatternSet;
+use dft_core::logicsim::{PatternSet, SimKernel, TapeKernel};
 use dft_core::netlist::generators::{mac_pe, ripple_adder};
 
 #[test]
@@ -72,11 +72,10 @@ fn bist_signature_screens_defective_dies() {
     // Compute a defective die's signature: simulate responses with a
     // fault and fold them the same way.
     let ps = bist.patterns(256, 0xB15);
-    let sim = dft_core::logicsim::FaultSim::new(&nl);
+    let kernel = TapeKernel::compile(&nl);
     let defect = Fault::stuck_at_output(nl.find("add_fa0_axb").unwrap(), false);
     let mut sig = 0u64;
-    for p in ps.iter() {
-        let resp = sim.faulty_response(p, defect);
+    for resp in &kernel.faulty_responses(&ps, &[defect])[0] {
         for (i, bit) in resp.iter().enumerate() {
             sig = sig.rotate_left(1) ^ ((*bit as u64) << (i % 7));
         }

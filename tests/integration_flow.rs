@@ -4,7 +4,7 @@
 use dft_core::atpg::{Atpg, AtpgConfig, CompactionMode};
 use dft_core::compress::ScanEdt;
 use dft_core::fault::{universe_stuck_at, FaultList};
-use dft_core::logicsim::{AnyKernel, Executor, SimKernel};
+use dft_core::logicsim::{Executor, SimKernel, TapeKernel};
 use dft_core::netlist::generators::{benchmark_suite, systolic_array, SystolicConfig};
 use dft_core::scan::{chain_loads, expected_unloads, insert_scan, ScanConfig};
 use dft_core::DftFlow;
@@ -49,7 +49,7 @@ fn atpg_patterns_verified_by_independent_fault_sim() {
             backtrack_limit: 128,
             ..AtpgConfig::default()
         });
-        let sim = AnyKernel::compile(&circuit.netlist);
+        let sim = TapeKernel::compile(&circuit.netlist);
         let mut fresh = FaultList::new(universe_stuck_at(&circuit.netlist));
         sim.fault_batch(&run.patterns, &mut fresh, &Executor::serial());
         assert_eq!(
@@ -126,15 +126,14 @@ fn scan_formatting_round_trips_through_edt() {
 
 #[test]
 fn unload_expectations_match_simulation() {
-    use dft_core::logicsim::{GoodSim, PatternSet};
+    use dft_core::logicsim::PatternSet;
     use dft_core::netlist::generators::s27;
     let nl = s27();
     let scan = insert_scan(&nl, &ScanConfig { num_chains: 1 });
     let ps = PatternSet::random(&nl, 10, 4);
     let unloads = expected_unloads(&nl, &scan, &ps);
-    let sim = GoodSim::new(&nl);
-    for (pi, p) in ps.iter().enumerate() {
-        let resp = sim.simulate(p);
+    let responses = TapeKernel::compile(&nl).eval_batch(&ps);
+    for (pi, resp) in responses.iter().enumerate() {
         // Flop captures start after the POs in the response vector.
         let ffs = nl.dffs();
         for (ci, chain) in scan.chains.iter().enumerate() {

@@ -5,9 +5,29 @@ use proptest::prelude::*;
 use dft_core::atpg::{AtpgResult, Podem};
 use dft_core::bist::{march_c_minus, run_march, MemFault, MemFaultKind, SramModel};
 use dft_core::compress::EdtCodec;
-use dft_core::fault::{collapse_equivalent, universe_stuck_at, FaultList};
-use dft_core::logicsim::{AnyKernel, Executor, FaultSim, GoodSim, PatternSet, SimKernel, TestCube};
+use dft_core::fault::{collapse_equivalent, universe_stuck_at, Fault, FaultList};
+use dft_core::logicsim::{
+    Executor, FiveSim, Pattern, PatternSet, Response, SimKernel, TapeKernel, TestCube,
+};
 use dft_core::netlist::generators::random_logic;
+use dft_core::netlist::Logic;
+
+/// Scalar reference: the five-valued simulator's sink values for one
+/// fully specified pattern.
+fn scalar_response(sim: &FiveSim<'_>, p: &Pattern) -> Response {
+    let asg: Vec<Logic> = p.iter().map(|&b| Logic::from_bool(b)).collect();
+    let vals = sim.simulate(&asg, None);
+    sim.sinks()
+        .iter()
+        .map(|&s| sim.sink_value(s, &vals, None) == Logic::One)
+        .collect()
+}
+
+/// Does `p` detect `fault` on the tape?
+fn detects(kernel: &TapeKernel<'_>, p: &Pattern, fault: Fault) -> bool {
+    let single: PatternSet = std::iter::once(p.clone()).collect();
+    !kernel.detection_sets(&single, &[fault])[0].is_empty()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -17,12 +37,12 @@ proptest! {
     #[test]
     fn bit_parallel_equals_scalar(seed in 0u64..1000, gates in 20usize..200) {
         let nl = random_logic(8, gates, seed);
-        let sim = GoodSim::new(&nl);
-        let kernel = AnyKernel::compile(&nl);
+        let sim = FiveSim::new(&nl);
+        let kernel = TapeKernel::compile(&nl);
         let ps = PatternSet::random(&nl, 70, seed ^ 1);
         let block = kernel.eval_batch(&ps);
         for (i, p) in ps.iter().enumerate() {
-            prop_assert_eq!(&block[i], &sim.simulate(p));
+            prop_assert_eq!(&block[i], &scalar_response(&sim, p));
         }
     }
 
@@ -31,22 +51,19 @@ proptest! {
     #[test]
     fn collapsed_faults_detect_identically(seed in 0u64..500, gates in 20usize..120) {
         let nl = random_logic(6, gates, seed);
-        let sim = FaultSim::new(&nl);
+        let kernel = TapeKernel::compile(&nl);
         let faults = universe_stuck_at(&nl);
         let col = collapse_equivalent(&nl, &faults);
         let ps = PatternSet::random(&nl, 48, seed ^ 7);
-        for &f in faults.iter() {
-            let rep = col.representative(f);
-            if rep == f {
-                continue;
-            }
-            for p in ps.iter() {
-                prop_assert_eq!(
-                    sim.detects(p, f),
-                    sim.detects(p, rep),
-                    "{} vs representative {}", f, rep
-                );
-            }
+        let reps: Vec<Fault> = faults.iter().map(|&f| col.representative(f)).collect();
+        let sets = kernel.detection_sets(&ps, &faults);
+        let rep_sets = kernel.detection_sets(&ps, &reps);
+        for (i, &f) in faults.iter().enumerate() {
+            prop_assert_eq!(
+                &sets[i],
+                &rep_sets[i],
+                "{} vs representative {}", f, reps[i]
+            );
         }
     }
 
@@ -55,14 +72,14 @@ proptest! {
     fn podem_cubes_always_detect(seed in 0u64..300, fill_seed in 0u64..100) {
         let nl = random_logic(8, 60, seed);
         let podem = Podem::new(&nl);
-        let sim = FaultSim::new(&nl);
+        let kernel = TapeKernel::compile(&nl);
         for (i, &fault) in universe_stuck_at(&nl).iter().enumerate() {
             if i % 9 != 0 {
                 continue; // sample for speed
             }
             if let (AtpgResult::Test(cube), _) = podem.generate(fault, 64) {
                 let p = cube.random_fill(fill_seed);
-                prop_assert!(sim.detects(&p, fault), "{} cube {}", fault, cube);
+                prop_assert!(detects(&kernel, &p, fault), "{} cube {}", fault, cube);
             }
         }
     }
@@ -107,12 +124,11 @@ proptest! {
         let nl2 = parse_bench("rt", &text).expect("own output parses");
         prop_assert_eq!(nl2.num_inputs(), nl.num_inputs());
         prop_assert_eq!(nl2.num_outputs(), nl.num_outputs());
-        let sim1 = GoodSim::new(&nl);
-        let sim2 = GoodSim::new(&nl2);
         let ps = PatternSet::random(&nl, 16, seed ^ 0xB);
-        for p in ps.iter() {
-            prop_assert_eq!(sim1.simulate(p), sim2.simulate(p));
-        }
+        prop_assert_eq!(
+            TapeKernel::compile(&nl).eval_batch(&ps),
+            TapeKernel::compile(&nl2).eval_batch(&ps)
+        );
     }
 
     /// The D-algorithm and PODEM agree on stem-fault testability, and
@@ -123,7 +139,7 @@ proptest! {
         let nl = random_logic(6, 40, seed);
         let dalg = DAlgorithm::new(&nl);
         let podem = Podem::new(&nl);
-        let sim = FaultSim::new(&nl);
+        let kernel = TapeKernel::compile(&nl);
         for (i, fault) in universe_stuck_at(&nl)
             .into_iter()
             .filter(|f| f.site.pin.is_none())
@@ -136,7 +152,7 @@ proptest! {
             let (p, _) = podem.generate(fault, 300);
             match (&d, &p) {
                 (AtpgResult::Test(c), _) => {
-                    prop_assert!(sim.detects(&c.random_fill(1), fault), "{}", fault)
+                    prop_assert!(detects(&kernel, &c.random_fill(1), fault), "{}", fault)
                 }
                 (AtpgResult::Untestable, AtpgResult::Test(_)) => {
                     prop_assert!(false, "{}: D-alg untestable but PODEM found a test", fault)
@@ -163,7 +179,7 @@ proptest! {
             "mac4" => mac_pe(4),
             _ => s27(),
         };
-        let sim = AnyKernel::compile(&nl);
+        let sim = TapeKernel::compile(&nl);
         let ps = PatternSet::random(&nl, 192, seed);
         let faults = universe_stuck_at(&nl);
 
@@ -210,7 +226,7 @@ proptest! {
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
             let handle = MetricsHandle::enabled();
-            let sim = AnyKernel::compile(&nl).with_metrics(handle.clone());
+            let sim = TapeKernel::compile(&nl).with_metrics(handle.clone());
             let mut list = FaultList::new(faults.clone());
             sim.fault_batch(&ps, &mut list, &Executor::with_threads(threads));
             runs.push((threads, list.num_detected(), handle.snapshot().unwrap()));
@@ -234,15 +250,15 @@ proptest! {
     #[test]
     fn fault_dropping_is_sound(seed in 0u64..300) {
         let nl = random_logic(6, 80, seed);
-        let sim = FaultSim::new(&nl);
-        let kernel = AnyKernel::compile(&nl);
+        let kernel = TapeKernel::compile(&nl);
         let ps = PatternSet::random(&nl, 32, seed ^ 3);
         let faults = universe_stuck_at(&nl);
         let mut dropped = FaultList::new(faults.clone());
         kernel.fault_batch(&ps, &mut dropped, &Executor::serial());
         // Reference: per-fault any-pattern detection without dropping.
+        let sets = kernel.detection_sets(&ps, &faults);
         for (i, &f) in faults.iter().enumerate() {
-            let detected_ref = ps.iter().any(|p| sim.detects(p, f));
+            let detected_ref = !sets[i].is_empty();
             prop_assert_eq!(
                 dropped.status(i).is_detected(),
                 detected_ref,

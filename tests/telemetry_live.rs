@@ -4,8 +4,7 @@
 //! tentpole contract of the telemetry layer: it is *strictly read-only*
 //! — the final [`FleetState`](dft_core::serve::FleetState) and the
 //! rendered summary are byte-identical with telemetry enabled or
-//! disabled, under both simulation kernels, across client thread
-//! counts, and while an aggressive scraper hammers the endpoint
+//! disabled, across client thread counts, and while an aggressive scraper hammers the endpoint
 //! mid-run.
 
 use std::path::PathBuf;
@@ -14,7 +13,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dft_core::checkpoint::ChaosConfig;
-use dft_core::config::KernelKind;
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::mac_pe;
 use dft_core::serve::{run_fleet, FleetReport, ServeConfig, ServeOpts};
@@ -96,39 +94,36 @@ fn run_scraped(
 
 /// A mid-run scraper is invisible: the fleet state and summary with the
 /// sampler + endpoint + scraper attached are identical to the plain
-/// run, under both simulation kernels — and what the scraper saw is
-/// internally consistent (monotone sample seq and dies-done).
+/// run — and what the scraper saw is internally consistent (monotone
+/// sample seq and dies-done).
 #[test]
 fn mid_run_scrape_never_changes_the_fleet_state() {
     let nl = mac_pe(4);
-    for kernel in [KernelKind::Tape, KernelKind::Legacy] {
-        let cfg = ServeConfig {
-            dies: 16,
-            client_threads: 2,
-            kernel: Some(kernel),
-            ..ServeConfig::default()
-        };
-        let reference = run_fleet(&nl, &cfg, &ServeOpts::default()).unwrap();
-        let (scraped, fin, seen) = run_scraped(&nl, &cfg, "", None, TraceHandle::disabled());
+    let cfg = ServeConfig {
+        dies: 16,
+        client_threads: 2,
+        ..ServeConfig::default()
+    };
+    let reference = run_fleet(&nl, &cfg, &ServeOpts::default()).unwrap();
+    let (scraped, fin, seen) = run_scraped(&nl, &cfg, "", None, TraceHandle::disabled());
 
-        assert_eq!(
-            scraped.state, reference.state,
-            "{kernel:?}: telemetry must be invisible in the state"
-        );
-        assert_eq!(scraped.summary, reference.summary, "{kernel:?}: summary");
-        assert!(fin.samples >= 2, "startup + final samples at minimum");
-        assert!(fin.scrapes > 0, "the scraper reached the endpoint");
-        assert!(!seen.is_empty(), "at least one successful scrape");
-        for w in seen.windows(2) {
-            assert!(w[1].0 >= w[0].0, "sample seq is monotone: {seen:?}");
-            assert!(w[1].1 >= w[0].1, "dies-done is monotone: {seen:?}");
-        }
-        let last = seen.last().unwrap();
-        assert!(
-            last.1 <= 16.0,
-            "dies-done gauge never overshoots the fleet: {last:?}"
-        );
+    assert_eq!(
+        scraped.state, reference.state,
+        "telemetry must be invisible in the state"
+    );
+    assert_eq!(scraped.summary, reference.summary, "summary");
+    assert!(fin.samples >= 2, "startup + final samples at minimum");
+    assert!(fin.scrapes > 0, "the scraper reached the endpoint");
+    assert!(!seen.is_empty(), "at least one successful scrape");
+    for w in seen.windows(2) {
+        assert!(w[1].0 >= w[0].0, "sample seq is monotone: {seen:?}");
+        assert!(w[1].1 >= w[0].1, "dies-done is monotone: {seen:?}");
     }
+    let last = seen.last().unwrap();
+    assert!(
+        last.1 <= 16.0,
+        "dies-done gauge never overshoots the fleet: {last:?}"
+    );
 }
 
 /// The acceptance matrix from ISSUE 9: a chaos-soaked fleet (half-open
