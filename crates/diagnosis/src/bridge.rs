@@ -9,9 +9,8 @@ use dft_fault::{BridgeFault, BridgeKind, Fault};
 use dft_logicsim::{PatternSet, SimKernel, TapeKernel};
 use dft_netlist::{GateId, GateKind, Netlist};
 
-use crate::faillog::defect_failure_log;
 use crate::score::Observed;
-use crate::{FailureLog, PatternFail};
+use crate::{build_failure_log, FailureLog, PatternFail};
 
 /// A scored bridge candidate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +44,7 @@ pub fn build_bridge_failure_log(
     patterns: &PatternSet,
     defect: BridgeFault,
 ) -> FailureLog {
-    defect_failure_log(nl, patterns, defect)
+    build_failure_log(nl, patterns, defect)
 }
 
 /// Diagnoses a log allowing bridge candidates: runs stuck-at diagnosis

@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use dft_fault::Fault;
 use dft_logicsim::{Defect, PatternSet, SimKernel, TapeKernel};
 use dft_netlist::Netlist;
 
@@ -236,16 +235,11 @@ impl Parser<'_> {
     }
 }
 
-/// Simulates `defect` against `patterns` and records every miscompare —
-/// the synthetic equivalent of a tester datalog (production logs are
-/// proprietary; see DESIGN.md substitutions).
-pub fn build_failure_log(nl: &Netlist, patterns: &PatternSet, defect: Fault) -> FailureLog {
-    defect_failure_log(nl, patterns, defect)
-}
-
-/// The failure log of any tape [`Defect`]: every pattern whose faulty
-/// response differs from the good machine, with the differing sinks.
-pub(crate) fn defect_failure_log<D: Copy + Into<Defect>>(
+/// Simulates `defect` (a stuck-at [`dft_fault::Fault`] or a bridge) against
+/// `patterns` and records every miscompare — the synthetic equivalent of
+/// a tester datalog (production logs are proprietary; see DESIGN.md
+/// substitutions).
+pub fn build_failure_log<D: Copy + Into<Defect>>(
     nl: &Netlist,
     patterns: &PatternSet,
     defect: D,
@@ -271,6 +265,7 @@ pub(crate) fn defect_failure_log<D: Copy + Into<Defect>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dft_fault::Fault;
     use dft_netlist::generators::c17;
 
     #[test]

@@ -28,7 +28,7 @@ use crate::tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
 use crate::{Executor, Pattern, PatternSet, Response};
 
 /// Below this many fault×pattern propagations the spawn/merge cost
-/// dominates; kernels fall back to the calling thread.
+/// dominates; batches fall back to the calling thread.
 const PARALLEL_THRESHOLD: usize = 1 << 12;
 
 /// Summary counters from a fault-simulation run.

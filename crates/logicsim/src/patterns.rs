@@ -117,15 +117,6 @@ impl PatternSet {
         }
         (words, count)
     }
-
-    /// Iterates over `(start_index, packed_words, count)` blocks of up to
-    /// 64 patterns.
-    pub fn blocks(&self) -> impl Iterator<Item = (usize, Vec<u64>, usize)> + '_ {
-        (0..self.patterns.len()).step_by(64).map(move |start| {
-            let (words, count) = self.pack_block(start);
-            (start, words, count)
-        })
-    }
 }
 
 impl FromIterator<Pattern> for PatternSet {
@@ -172,11 +163,11 @@ mod tests {
     fn blocks_cover_all_patterns() {
         let nl = c17();
         let ps = PatternSet::random(&nl, 130, 1);
-        let blocks: Vec<_> = ps.blocks().collect();
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[0].2, 64);
-        assert_eq!(blocks[1].0, 64);
-        assert_eq!(blocks[2].2, 2);
+        let counts: Vec<usize> = (0..ps.len())
+            .step_by(64)
+            .map(|start| ps.pack_block(start).1)
+            .collect();
+        assert_eq!(counts, vec![64, 64, 2]);
     }
 
     #[test]

@@ -439,7 +439,6 @@ impl GateTape {
     /// wide good values `good` (from [`GateTape::eval_wide`]): bit `k` of
     /// lane `l` set means pattern `64*l + k` of the block detects the
     /// fault. Also returns the number of wide faulty gate evaluations.
-    ///
     pub fn detect_wide(
         &self,
         good: &[WideWord],
@@ -503,7 +502,7 @@ impl GateTape {
     /// the other net's cone keeps its forced value rather than being
     /// re-evaluated (feedback bridges resolve to the one-pass static
     /// value).
-    pub fn detect_bridge_wide(
+    pub(crate) fn detect_bridge_wide(
         &self,
         good: &[WideWord],
         mask: &WideWord,
@@ -528,7 +527,7 @@ impl GateTape {
 
     /// The detection word of any [`Defect`]: [`GateTape::detect_wide`]
     /// or [`GateTape::detect_bridge_wide`].
-    pub fn detect_defect(
+    pub(crate) fn detect_defect(
         &self,
         good: &[WideWord],
         mask: &WideWord,
@@ -545,7 +544,7 @@ impl GateTape {
     /// the faulty counterpart of [`GateTape::sink_words_wide`]. A fault
     /// on a flop's D pin (or a PO marker's pin) is read at that sink
     /// itself; every other sink reads the propagated faulty value.
-    pub fn faulty_sink_words(
+    pub(crate) fn faulty_sink_words(
         &self,
         good: &[WideWord],
         mask: &WideWord,

@@ -4,7 +4,7 @@
 //!
 //! The serve fleet's determinism contract is sacred: the final
 //! `FleetState` is a pure function of (design, config, chaos plan),
-//! bit-identical across client thread counts, kernels, and kill/resume
+//! bit-identical across client thread counts and kill/resume
 //! cycles. Telemetry therefore follows one rule — **it only ever
 //! reads**. Fleet threads update lock-free [`FleetGauges`] and queue
 //! event lines; the sampler thread periodically snapshots the
