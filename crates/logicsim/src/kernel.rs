@@ -392,16 +392,10 @@ impl<'nl> SimKernel<'nl> for TapeKernel<'nl> {
                 patterns.len().div_ceil(WIDE_PATTERNS) as u64,
             );
             let mut blocks = Vec::new();
-            let mut start = 0usize;
-            while start < patterns.len() {
-                let (src, count) = GateTape::pack_wide(patterns, start);
-                let mut vals = Vec::new();
-                self.tape.eval_wide(&src, &mut vals);
-                self.note_good_pass();
-                let lane0 = GateTape::lane_values(&vals, 0);
-                blocks.push((start, vals, lane0, GateTape::wide_mask(count)));
-                start += WIDE_PATTERNS;
-            }
+            self.for_each_block(patterns, |start, count, vals| {
+                let lane0 = GateTape::lane_values(vals, 0);
+                blocks.push((start, vals.to_vec(), lane0, GateTape::wide_mask(count)));
+            });
             blocks
         };
         let faults = list.faults();
