@@ -15,7 +15,7 @@
 
 use dft_checkpoint::CancelToken;
 use dft_fault::Fault;
-use dft_logicsim::TestCube;
+use dft_logicsim::{RunCtx, TestCube};
 use dft_metrics::MetricsHandle;
 use dft_netlist::{GateId, GateKind, Levelization, Logic, Netlist};
 
@@ -64,15 +64,13 @@ impl<'a> DAlgorithm<'a> {
         }
     }
 
-    /// Points per-call counters at `metrics`.
-    pub fn set_metrics(&mut self, metrics: MetricsHandle) {
-        self.metrics = metrics;
-    }
-
-    /// Attaches a cancellation token; a cancelled search returns
+    /// Takes the run context: per-call counters go to `ctx.metrics`,
+    /// and a fired `ctx.cancel` makes the search return
     /// [`AtpgResult::Aborted`] at its next recursion step.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
+    pub fn with_ctx(mut self, ctx: RunCtx) -> DAlgorithm<'a> {
+        self.cancel = ctx.cancel;
+        self.metrics = ctx.metrics;
+        self
     }
 
     /// Generates a test for a stem fault.

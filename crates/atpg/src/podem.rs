@@ -14,7 +14,7 @@
 use dft_checkpoint::CancelToken;
 use dft_fault::Fault;
 use dft_logicsim::testability::{scoap, Scoap};
-use dft_logicsim::{FiveSim, TestCube};
+use dft_logicsim::{FiveSim, RunCtx, TestCube};
 use dft_metrics::MetricsHandle;
 use dft_netlist::{GateId, GateKind, Logic, Netlist};
 
@@ -92,17 +92,15 @@ impl<'a> Podem<'a> {
         }
     }
 
-    /// Attaches a cancellation token; see [`Podem::generate`]'s abort
-    /// behavior in the `cancel` field docs.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = Some(cancel);
-    }
-
-    /// Points per-call counters (calls, decisions, backtracks, outcomes)
-    /// at `metrics`. The search loop still accumulates into the local
-    /// [`PodemStats`]; the registry is flushed once per generate call.
-    pub fn set_metrics(&mut self, metrics: MetricsHandle) {
-        self.metrics = metrics;
+    /// Takes the run context: `ctx.cancel` is checked once per search
+    /// iteration (see the `cancel` field), and per-call counters (calls,
+    /// decisions, backtracks, outcomes) go to `ctx.metrics`. The search
+    /// loop still accumulates into the local [`PodemStats`]; the
+    /// registry is flushed once per generate call.
+    pub fn with_ctx(mut self, ctx: RunCtx) -> Podem<'a> {
+        self.cancel = ctx.cancel;
+        self.metrics = ctx.metrics;
+        self
     }
 
     /// The netlist this generator works on.

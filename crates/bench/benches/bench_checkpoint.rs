@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dft_core::atpg::{Atpg, AtpgConfig, Durability};
-use dft_core::checkpoint::{fsck, replica_path, scrub, CancelToken, FramedJournal, Journal};
+use dft_core::checkpoint::{fsck, replica_path, scrub, FramedJournal, Journal};
 use dft_core::netlist::generators::mac_pe;
 
 fn bench_checkpoint_overhead(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
 
     group.bench_function("durable_no_journal", |b| {
         b.iter(|| {
-            let mut dur = Durability::new(CancelToken::new());
+            let mut dur = Durability::new();
             atpg.run_durable(&cfg, &mut dur).expect("uninterrupted")
         });
     });
@@ -34,7 +34,7 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
     group.bench_function("durable_journal_every64", |b| {
         b.iter(|| {
             std::fs::remove_file(&path).ok();
-            let mut dur = Durability::new(CancelToken::new()).with_journal(Journal::new(&path));
+            let mut dur = Durability::new().with_journal(Journal::new(&path));
             atpg.run_durable(&cfg, &mut dur).expect("uninterrupted")
         });
     });

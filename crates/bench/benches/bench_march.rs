@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dft_core::bist::{march_c_minus, march_ss, run_march, SramModel};
+use dft_core::logicsim::RunCtx;
 
 fn bench_march(c: &mut Criterion) {
     let mut group = c.benchmark_group("march");
@@ -11,7 +12,7 @@ fn bench_march(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(algo.name, size), &size, |b, &size| {
                 b.iter(|| {
                     let mut mem = SramModel::new(size);
-                    run_march(&algo, &mut mem).operations
+                    run_march(&algo, &mut mem, &RunCtx::default()).operations
                 });
             });
         }

@@ -7,15 +7,21 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dft_core::atpg::{Atpg, AtpgConfig};
 use dft_core::fault::{universe_stuck_at, FaultList};
-use dft_core::logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
+use dft_core::logicsim::{Executor, PatternSet, RunCtx, SimKernel, TapeKernel};
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{random_logic, systolic_array, SystolicConfig};
 use dft_core::trace::{TraceConfig, TraceHandle, TraceSession};
 
-fn handles() -> [(&'static str, MetricsHandle); 2] {
+fn handles() -> [(&'static str, RunCtx); 2] {
     [
-        ("disabled", MetricsHandle::disabled()),
-        ("enabled", MetricsHandle::enabled()),
+        ("disabled", RunCtx::default()),
+        (
+            "enabled",
+            RunCtx {
+                metrics: MetricsHandle::enabled(),
+                ..RunCtx::default()
+            },
+        ),
     ]
 }
 
@@ -26,8 +32,8 @@ fn bench_goodsim_overhead(c: &mut Criterion) {
     group.sample_size(20);
     let nl = random_logic(32, 2000, 0xFA);
     let ps = PatternSet::random(&nl, 256, 7);
-    for (label, handle) in handles() {
-        let sim = TapeKernel::compile(&nl).with_metrics(handle.clone());
+    for (label, ctx) in handles() {
+        let sim = TapeKernel::compile(&nl).with_ctx(ctx);
         group.bench_with_input(BenchmarkId::new("sim", label), &label, |b, _| {
             b.iter(|| sim.eval_batch(&ps).len());
         });
@@ -42,8 +48,8 @@ fn bench_ppsfp_overhead(c: &mut Criterion) {
     let nl = random_logic(32, 1000, 0xFA);
     let faults = universe_stuck_at(&nl);
     let ps = PatternSet::random(&nl, 64, 3);
-    for (label, handle) in handles() {
-        let sim = TapeKernel::compile(&nl).with_metrics(handle.clone());
+    for (label, ctx) in handles() {
+        let sim = TapeKernel::compile(&nl).with_ctx(ctx);
         group.bench_with_input(BenchmarkId::new("sim", label), &label, |b, _| {
             b.iter(|| {
                 let mut list = FaultList::new(faults.clone());
@@ -61,10 +67,10 @@ fn bench_atpg_overhead(c: &mut Criterion) {
     group.sample_size(10);
     let nl = random_logic(16, 300, 0xA7);
     let cfg = AtpgConfig::new();
-    for (label, handle) in handles() {
+    for (label, ctx) in handles() {
         group.bench_with_input(BenchmarkId::new("run", label), &label, |b, _| {
             b.iter(|| {
-                let run = Atpg::new(&nl).with_metrics(handle.clone()).run(&cfg);
+                let run = Atpg::new(&nl).with_ctx(ctx.clone()).run(&cfg);
                 run.patterns.len()
             });
         });
@@ -94,7 +100,10 @@ fn bench_trace_overhead(c: &mut Criterion) {
         ("traced", session.handle()),
     ];
     for (label, trace) in variants {
-        let sim = TapeKernel::compile(&nl).with_trace(trace);
+        let sim = TapeKernel::compile(&nl).with_ctx(RunCtx {
+            trace,
+            ..RunCtx::default()
+        });
         group.bench_with_input(BenchmarkId::new("sys2x2", label), &label, |b, _| {
             b.iter(|| {
                 let mut list = FaultList::new(faults.clone());

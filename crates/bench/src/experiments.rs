@@ -1,6 +1,5 @@
 //! Implementations of experiments E1-E12 (one function per table/figure).
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use dft_core::aichip::{
@@ -17,7 +16,7 @@ use dft_core::diagnosis::{build_failure_log, diagnose};
 use dft_core::fault::{
     collapse_dominance, collapse_equivalent, universe_stuck_at, universe_transition, FaultList,
 };
-use dft_core::logicsim::{Executor, PatternSet, SimKernel, TapeKernel};
+use dft_core::logicsim::{Executor, PatternSet, RunCtx, SimKernel, TapeKernel};
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::{
     benchmark_suite, decoder, mac_pe, systolic_array, SystolicConfig,
@@ -26,25 +25,12 @@ use dft_core::netlist::Netlist;
 use dft_core::scan::{insert_scan, ScanConfig, TestTimeModel};
 use dft_core::DftFlow;
 
-static THREADS: OnceLock<usize> = OnceLock::new();
-
-/// Sets the worker-thread count for the simulation-heavy experiments
-/// (`0` = one per hardware thread). Numbers are bit-identical for any
-/// value; only wall-clock changes.
-pub fn set_threads(n: usize) {
-    let _ = THREADS.set(n);
-}
-
-fn threads() -> usize {
-    *THREADS.get().unwrap_or(&1)
-}
-
-fn exec() -> Executor {
-    Executor::with_threads(threads())
-}
+// The experiments that simulate in parallel take the worker-thread
+// count (`0` = one per hardware thread). Numbers are bit-identical for
+// any value; only wall-clock changes.
 
 /// E1: fault coverage vs random-pattern count (the saturation curve).
-pub fn e1_random_coverage() {
+pub fn e1_random_coverage(threads: usize) {
     println!("E1: stuck-at coverage vs random pattern count");
     let checkpoints = [1usize, 4, 16, 64, 256, 1024, 2048];
     print!("{:<10}", "circuit");
@@ -56,7 +42,7 @@ pub fn e1_random_coverage() {
         let sim = TapeKernel::compile(&c.netlist);
         let ps = PatternSet::random(&c.netlist, *checkpoints.last().unwrap(), 0xE1);
         let mut list = FaultList::new(universe_stuck_at(&c.netlist));
-        sim.fault_batch(&ps, &mut list, &exec());
+        sim.fault_batch(&ps, &mut list, &Executor::with_threads(threads));
         print!("{:<10}", c.name);
         for &n in &checkpoints {
             let det = (0..list.len())
@@ -234,16 +220,16 @@ pub fn e4_compression() {
 }
 
 /// E5: LBIST coverage vs pattern count, with and without test points.
-pub fn e5_lbist() {
+pub fn e5_lbist(threads: usize) {
     println!("E5: logic BIST coverage (PRPG patterns), test-point ablation");
     let nl = decoder(6);
     let (tp_nl, report) = insert_test_points(&nl, 12);
     let checkpoints = [64usize, 256, 1024, 4096];
     let base = LogicBist::new(&nl, 32)
-        .threads(threads())
+        .threads(threads)
         .coverage_curve(&checkpoints, 0xE5);
     let boosted = LogicBist::new(&tp_nl, 32)
-        .threads(threads())
+        .threads(threads)
         .coverage_curve(&checkpoints, 0xE5);
     println!(
         "{:>9} {:>14} {:>20}",
@@ -325,7 +311,7 @@ pub fn e6_march_matrix() {
                         kind: make(agg, i),
                     },
                 );
-                if run_march(algo, &mut mem).detected {
+                if run_march(algo, &mut mem, &RunCtx::default()).detected {
                     detected += 1;
                 }
             }
@@ -353,6 +339,7 @@ pub fn e7_core_reuse() {
                 ..SocConfig::default()
             },
             &atpg,
+            &RunCtx::default(),
         );
         println!(
             "{cores:>6} {:>9} {:>13} {:>16} {:>8.1}x",
@@ -571,7 +558,7 @@ pub fn e12_ssn() {
 /// representative circuit mix with every run aggregating into one shared
 /// registry, prints the headline counters, and writes the merged snapshot
 /// to `BENCH_metrics.json` (uploaded as a CI artifact).
-pub fn metrics_report() {
+pub fn metrics_report(threads: usize) {
     println!("METRICS: aggregated hot-path counters over the full-flow circuit mix");
     let handle = MetricsHandle::enabled();
     let mut circuits = selected_circuits(&["c17", "mult8", "mac4"]);
@@ -587,17 +574,17 @@ pub fn metrics_report() {
         "{:<10} {:>9} {:>12} {:>12} {:>10}",
         "circuit", "patterns", "backtracks", "gate evals", "edt cubes"
     );
-    let wall_start = Instant::now();
-    let mut coverage_sum = 0.0f64;
     for c in &circuits {
         let before = handle.snapshot().unwrap();
         let report = DftFlow::new(&c.netlist)
-            .metrics(handle.clone())
-            .threads(threads())
+            .ctx(RunCtx {
+                metrics: handle.clone(),
+                ..RunCtx::default()
+            })
+            .threads(threads)
             .run();
         let after = handle.snapshot().unwrap();
         let delta = |k: &str| after.counter(k) - before.counter(k);
-        coverage_sum += report.test_coverage;
         println!(
             "{:<10} {:>9} {:>12} {:>12} {:>10}",
             c.name,
@@ -607,29 +594,22 @@ pub fn metrics_report() {
             delta("edt_cubes_attempted"),
         );
     }
-    let wall_ns = wall_start.elapsed().as_nanos();
-    let coverage = coverage_sum / circuits.len() as f64;
     let snap = handle.snapshot().unwrap();
-    // The trend block feeds `bench trend` (see trend.rs); the snapshot
-    // keeps the metrics schema documented in EXPERIMENTS.md.
-    let json = format!(
-        "{{\n\"trend\": {{\"experiment\":\"metrics\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{coverage:.6}}},\n\"snapshot\": {}}}\n",
-        snap.to_json().trim_end()
-    );
+    // The snapshot keeps the metrics schema documented in EXPERIMENTS.md.
+    let json = format!("{{\n\"snapshot\": {}}}\n", snap.to_json().trim_end());
     std::fs::write("BENCH_metrics.json", json).expect("write BENCH_metrics.json");
     println!(
-        "wrote BENCH_metrics.json ({} counters, {} timers)",
+        "wrote BENCH_metrics.json ({} counters, {} histograms)",
         snap.counters.len(),
-        snap.timers.len()
+        snap.histograms.len()
     );
 }
 
 /// PPSFP: headline fault-simulation throughput of the gate-tape kernel
 /// on the two headline circuits (mult8, sys2x2): the full stuck-at
 /// universe against one random pattern set. Writes
-/// `BENCH_ppsfp_tape.json`, whose `trend` block feeds `bench trend`.
-pub fn ppsfp_report() {
+/// `BENCH_ppsfp_tape.json`.
+pub fn ppsfp_report(threads: usize) {
     println!("PPSFP: fault-simulation throughput, gate tape");
     let num_patterns = 1024usize;
     let reps = 3usize;
@@ -647,8 +627,6 @@ pub fn ppsfp_report() {
         "circuit", "faults", "patterns", "tape ms", "tape Mf·p/s"
     );
     let mut rows = Vec::new();
-    let mut wall_ns = 0u64;
-    let mut coverage_sum = 0.0f64;
     for c in &circuits {
         let nl = &c.netlist;
         let ps = PatternSet::random(nl, num_patterns, 0xF5);
@@ -656,13 +634,11 @@ pub fn ppsfp_report() {
         // Best-of-`reps`, compile included (it amortizes to nothing but
         // charging it keeps the number honest).
         let mut tape_ns = u64::MAX;
-        let mut coverage = 0.0;
         for _ in 0..reps {
             let mut list = FaultList::new(universe.clone());
             let t = Instant::now();
-            TapeKernel::compile(nl).fault_batch(&ps, &mut list, &exec());
+            TapeKernel::compile(nl).fault_batch(&ps, &mut list, &Executor::with_threads(threads));
             tape_ns = tape_ns.min(t.elapsed().as_nanos() as u64);
-            coverage = list.fault_coverage();
         }
         let fp_per_sec = (universe.len() * num_patterns) as f64 / (tape_ns as f64 / 1e9) / 1e6;
         println!(
@@ -673,8 +649,6 @@ pub fn ppsfp_report() {
             tape_ns as f64 / 1e6,
             fp_per_sec
         );
-        wall_ns += tape_ns;
-        coverage_sum += coverage;
         rows.push(format!(
             "{{\"circuit\":\"{}\",\"faults\":{},\"patterns\":{},\"tape_ns\":{}}}",
             c.name,
@@ -683,12 +657,7 @@ pub fn ppsfp_report() {
             tape_ns
         ));
     }
-    let coverage = coverage_sum / circuits.len() as f64;
-    let json = format!(
-        "{{\n\"trend\": {{\"experiment\":\"ppsfp\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{coverage:.6}}},\n\"circuits\": [{}]\n}}\n",
-        rows.join(",")
-    );
+    let json = format!("{{\n\"circuits\": [{}]\n}}\n", rows.join(","));
     std::fs::write("BENCH_ppsfp_tape.json", json).expect("write BENCH_ppsfp_tape.json");
     println!("wrote BENCH_ppsfp_tape.json");
 }
@@ -699,13 +668,12 @@ pub fn ppsfp_report() {
 /// ship matrix (grade, recomputed broadcast test time, and harvested
 /// inference accuracy versus bad-core count). Writes both to
 /// `BENCH_repair.json` (uploaded as a CI artifact).
-pub fn repair_report() {
+pub fn repair_report(threads: usize) {
     use dft_core::repair::{
         plan_degradation, run_inference_check, yield_sweep, BisrEngine, SpareConfig, SramGeometry,
     };
 
     let handle = MetricsHandle::enabled();
-    let wall_start = Instant::now();
 
     // Table 1: SRAM repair yield vs injected fault density.
     let geom = SramGeometry { rows: 16, cols: 16 };
@@ -713,7 +681,10 @@ pub fn repair_report() {
         spare_rows: 2,
         spare_cols: 2,
     };
-    let engine = BisrEngine::new().with_metrics(handle.clone());
+    let engine = BisrEngine::new().with_ctx(RunCtx {
+        metrics: handle.clone(),
+        ..RunCtx::default()
+    });
     println!(
         "REPAIR: {}x{} SRAM + {}r/{}c spares, March C-, 25 dies per density",
         geom.rows, geom.cols, spares.spare_rows, spares.spare_cols
@@ -757,10 +728,15 @@ pub fn repair_report() {
     // per_core_cycles; everything else is rescheduling + inference.
     let core = mac_pe(4);
     let cfg = SocConfig {
-        threads: threads(),
+        threads,
         ..SocConfig::default()
     };
-    let plan = hierarchical_plan(&core, &cfg, &AtpgConfig::new().threads(threads()));
+    let plan = hierarchical_plan(
+        &core,
+        &cfg,
+        &AtpgConfig::new().threads(threads),
+        &RunCtx::default(),
+    );
     let max_bad_cores = 2usize;
     println!(
         "\ndegraded-SoC ship matrix: {} cores, floor N-{max_bad_cores}, \
@@ -815,13 +791,8 @@ pub fn repair_report() {
         "shape: accuracy holds while throughput degrades linearly; past the floor the die scraps."
     );
 
-    let wall_ns = wall_start.elapsed().as_nanos();
-    let mean_yield =
-        sweep.iter().map(|p| p.yield_fraction()).sum::<f64>() / sweep.len().max(1) as f64;
     let json = format!(
-        "{{\n  \"trend\": {{\"experiment\":\"repair\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{mean_yield:.6}}},\n  \
-         \"sram\": {{\"rows\":{},\"cols\":{},\"spare_rows\":{},\"spare_cols\":{}}},\n  \
+        "{{\n  \"sram\": {{\"rows\":{},\"cols\":{},\"spare_rows\":{},\"spare_cols\":{}}},\n  \
          \"yield_sweep\": [{}],\n  \"soc\": {{\"cores\":{},\"max_bad_cores\":{},\
          \"per_core_cycles\":{}}},\n  \"degradation\": [{}]\n}}\n",
         geom.rows,
@@ -848,21 +819,17 @@ pub fn repair_report() {
 /// signatures/sec, and the adaptive-retest rate. A telemetry session
 /// rides along (sampler only — no scrape endpoint, no event stream) to
 /// measure peak rolling throughput and the p99 window round-trip.
-/// Writes `BENCH_serve.json`; the `trend` block carries total wall
-/// clock, the fleet pass fraction as coverage, peak dies/sec (higher-
-/// better), and p99 window latency (lower-better), all gated by
-/// `bench trend`.
-pub fn serve_report() {
+/// Writes `BENCH_serve.json`.
+pub fn serve_report(threads: usize) {
     use dft_core::serve::{run_fleet, ServeConfig, ServeOpts};
     use dft_core::telemetry::{TelemetryConfig, TelemetrySession};
 
     let circuits = selected_circuits(&["mac4"]);
     let nl = &circuits[0].netlist;
     let handle = MetricsHandle::enabled();
-    let wall_start = Instant::now();
     let cfg = ServeConfig {
         dies: 32,
-        client_threads: match threads() {
+        client_threads: match threads {
             0 => 8,
             n => n,
         },
@@ -879,7 +846,6 @@ pub fn serve_report() {
         ..ServeOpts::default()
     };
     let report = run_fleet(nl, &cfg, &opts).expect("serve fleet");
-    let wall_ns = wall_start.elapsed().as_nanos();
     let tele_final = tele.finish();
 
     let s = report.summary;
@@ -887,11 +853,10 @@ pub fn serve_report() {
     let dies_per_sec = s.tested as f64 / serve_secs;
     let sigs_per_sec = s.signatures as f64 / serve_secs;
     let retest_rate = s.retested as f64 / s.tested.max(1) as f64;
-    let pass_fraction = s.passed as f64 / s.tested.max(1) as f64;
     let snap = handle.snapshot().expect("metrics enabled");
     // A short run can outpace the 25 ms sampler (peak gauge 0) or
     // settle every window between ticks (p99 NaN); fall back to the
-    // whole-run figures so the trend block always has a number.
+    // whole-run figures so the report always has a number.
     let peak_dies_per_sec = if tele_final.peak_dies_per_sec > 0.0 {
         tele_final.peak_dies_per_sec
     } else {
@@ -931,11 +896,7 @@ pub fn serve_report() {
     println!("shape: defective dies always mismatch, retest, and route to harvest/scrap.");
 
     let json = format!(
-        "{{\n  \"trend\": {{\"experiment\":\"serve\",\"wall_clock_ns\":{wall_ns},\
-         \"coverage\":{pass_fraction:.6},\
-         \"peak_dies_per_sec\":{peak_dies_per_sec:.2},\
-         \"p99_window_latency_us\":{p99_window_us:.2}}},\n  \
-         \"fleet\": {{\"design\":\"mac4\",\"dies\":{},\"windows_per_die\":{},\
+        "{{\n  \"fleet\": {{\"design\":\"mac4\",\"dies\":{},\"windows_per_die\":{},\
          \"window_patterns\":{},\"patterns\":{},\"edt_encoded\":{},\"edt_flat\":{},\
          \"client_threads\":{}}},\n  \
          \"summary\": {{\"tested\":{},\"passed\":{},\"failed\":{},\"defective\":{},\

@@ -6,7 +6,8 @@
 //! cargo run --release -p dft-bench --bin experiments -- all --threads 8
 //! ```
 //!
-//! `--threads N` parallelizes the simulation-heavy experiments (E1, E5);
+//! `--threads N` parallelizes the simulation-heavy experiments (E1, E5,
+//! metrics, ppsfp, repair, serve), passed down to each as an argument;
 //! `0` = one worker per hardware thread. All numbers are bit-identical
 //! for any thread count.
 
@@ -27,25 +28,24 @@ fn main() {
         }
         args.drain(pos..pos + 2);
     }
-    experiments::set_threads(threads);
     let which = args.first().map(String::as_str).unwrap_or("all");
-    let all = [
-        ("e1", experiments::e1_random_coverage as fn()),
-        ("e2", experiments::e2_collapse_table),
-        ("e3", experiments::e3_atpg_signoff),
-        ("e4", experiments::e4_compression),
-        ("e5", experiments::e5_lbist),
-        ("e6", experiments::e6_march_matrix),
-        ("e7", experiments::e7_core_reuse),
-        ("e8", experiments::e8_diagnosis),
-        ("e9", experiments::e9_criticality),
-        ("e10", experiments::e10_scan_tradeoff),
-        ("e11", experiments::e11_transition),
-        ("e12", experiments::e12_ssn),
-        ("metrics", experiments::metrics_report),
-        ("repair", experiments::repair_report),
-        ("ppsfp", experiments::ppsfp_report),
-        ("serve", experiments::serve_report),
+    let all: [(&str, &dyn Fn()); 16] = [
+        ("e1", &|| experiments::e1_random_coverage(threads)),
+        ("e2", &experiments::e2_collapse_table),
+        ("e3", &experiments::e3_atpg_signoff),
+        ("e4", &experiments::e4_compression),
+        ("e5", &|| experiments::e5_lbist(threads)),
+        ("e6", &experiments::e6_march_matrix),
+        ("e7", &experiments::e7_core_reuse),
+        ("e8", &experiments::e8_diagnosis),
+        ("e9", &experiments::e9_criticality),
+        ("e10", &experiments::e10_scan_tradeoff),
+        ("e11", &experiments::e11_transition),
+        ("e12", &experiments::e12_ssn),
+        ("metrics", &|| experiments::metrics_report(threads)),
+        ("repair", &|| experiments::repair_report(threads)),
+        ("ppsfp", &|| experiments::ppsfp_report(threads)),
+        ("serve", &|| experiments::serve_report(threads)),
     ];
     match which {
         "all" => {

@@ -25,9 +25,8 @@ mod testpoints;
 pub use lfsr::Lfsr;
 pub use logic::{BistResult, LogicBist};
 pub use march::{
-    march_a, march_b, march_c_minus, march_ss, march_x, mats_plus, run_march,
-    run_march_cancellable, run_march_with_map, run_march_with_map_cancellable, MarchAlgorithm,
-    MarchElement, MarchOp, MarchOrder, MarchResult, MemoryModel,
+    march_a, march_b, march_c_minus, march_ss, march_x, mats_plus, run_march, run_march_with_map,
+    MarchAlgorithm, MarchElement, MarchOp, MarchOrder, MarchResult, MemoryModel,
 };
 pub use memory::{MemFault, MemFaultKind, SramModel};
 pub use stumps::{build_stumps, StumpsBist};

@@ -1,6 +1,6 @@
 //! March-test algorithms and the BIST run engine.
 
-use dft_checkpoint::CancelToken;
+use dft_logicsim::RunCtx;
 
 use crate::SramModel;
 
@@ -190,57 +190,34 @@ pub struct MarchResult {
     pub first_fail: Option<(usize, usize, usize)>,
     /// Total memory operations performed.
     pub operations: u64,
-    /// `true` when a [`CancelToken`] fired mid-run: the march stopped at
+    /// `true` when the context's token fired mid-run: the march stopped at
     /// an address boundary, so `detected`/`first_fail` only reflect the
     /// operations actually performed. An interrupted pass must be rerun,
     /// never trusted as a clean result.
     pub interrupted: bool,
 }
 
-/// Runs `algo` against `mem`, comparing every read with its expectation.
-pub fn run_march<M: MemoryModel>(algo: &MarchAlgorithm, mem: &mut M) -> MarchResult {
-    run_march_with_map(algo, mem).0
-}
-
-/// [`run_march`] with cooperative cancellation: the token is checked at
-/// every address boundary and a fired token drains the march with
-/// [`MarchResult::interrupted`] set.
-pub fn run_march_cancellable<M: MemoryModel>(
-    algo: &MarchAlgorithm,
-    mem: &mut M,
-    cancel: &CancelToken,
-) -> MarchResult {
-    march_inner(algo, mem, Some(cancel)).0
+/// Runs `algo` against `mem`, comparing every read with its
+/// expectation. `ctx.cancel` is checked at every address boundary; a
+/// fired token drains the march with [`MarchResult::interrupted`] set.
+pub fn run_march<M: MemoryModel>(algo: &MarchAlgorithm, mem: &mut M, ctx: &RunCtx) -> MarchResult {
+    run_march_with_map(algo, mem, ctx).0
 }
 
 /// Runs `algo` against `mem` and also returns the per-address failure
 /// bitmap: `map[addr]` is `true` when at least one read at `addr`
 /// miscompared. This is the MBIST fail log redundancy analysis consumes
 /// — addresses are the *logical* addresses the test issued, so decoder
-/// (alias) faults mark the address that observed the miscompare.
+/// (alias) faults mark the address that observed the miscompare. An
+/// interrupted pass (see [`run_march`]) returns a partial failure map
+/// that must not be trusted for redundancy analysis — check
+/// [`MarchResult::interrupted`] first.
 pub fn run_march_with_map<M: MemoryModel>(
     algo: &MarchAlgorithm,
     mem: &mut M,
+    ctx: &RunCtx,
 ) -> (MarchResult, Vec<bool>) {
-    march_inner(algo, mem, None)
-}
-
-/// [`run_march_with_map`] with cooperative cancellation. An interrupted
-/// pass returns a partial failure map that must not be trusted for
-/// redundancy analysis — check [`MarchResult::interrupted`] first.
-pub fn run_march_with_map_cancellable<M: MemoryModel>(
-    algo: &MarchAlgorithm,
-    mem: &mut M,
-    cancel: &CancelToken,
-) -> (MarchResult, Vec<bool>) {
-    march_inner(algo, mem, Some(cancel))
-}
-
-fn march_inner<M: MemoryModel>(
-    algo: &MarchAlgorithm,
-    mem: &mut M,
-    cancel: Option<&CancelToken>,
-) -> (MarchResult, Vec<bool>) {
+    let cancel = ctx.cancel.as_ref();
     let n = mem.size();
     let mut result = MarchResult {
         detected: false,
@@ -285,17 +262,18 @@ fn march_inner<M: MemoryModel>(
 mod tests {
     use super::*;
     use crate::{MemFault, MemFaultKind};
+    use dft_checkpoint::CancelToken;
 
     fn detect(algo: &MarchAlgorithm, size: usize, fault: MemFault) -> bool {
         let mut mem = SramModel::with_fault(size, fault);
-        run_march(algo, &mut mem).detected
+        run_march(algo, &mut mem, &RunCtx::default()).detected
     }
 
     #[test]
     fn fault_free_memory_passes_all_algorithms() {
         for algo in [mats_plus(), march_x(), march_c_minus(), march_ss()] {
             let mut mem = SramModel::new(64);
-            let r = run_march(&algo, &mut mem);
+            let r = run_march(&algo, &mut mem, &RunCtx::default());
             assert!(!r.detected, "{} false alarm", algo.name);
             assert_eq!(r.operations, (algo.ops_per_bit() * 64) as u64);
         }
@@ -304,15 +282,22 @@ mod tests {
     #[test]
     fn cancelled_march_drains_and_flags_interrupted() {
         let mut mem = SramModel::new(64);
+        let polling = |cancel: CancelToken| RunCtx {
+            cancel: Some(cancel),
+            ..RunCtx::default()
+        };
         let tok = CancelToken::new();
         tok.cancel();
-        let r = run_march_cancellable(&march_c_minus(), &mut mem, &tok);
+        let r = run_march(&march_c_minus(), &mut mem, &polling(tok));
         assert!(r.interrupted);
         assert_eq!(r.operations, 0);
         // An un-fired token changes nothing about a clean run.
-        let clean = run_march_cancellable(&march_c_minus(), &mut mem, &CancelToken::new());
+        let clean = run_march(&march_c_minus(), &mut mem, &polling(CancelToken::new()));
         assert!(!clean.interrupted);
-        assert_eq!(clean, run_march(&march_c_minus(), &mut mem));
+        assert_eq!(
+            clean,
+            run_march(&march_c_minus(), &mut mem, &RunCtx::default())
+        );
     }
 
     #[test]
@@ -490,7 +475,7 @@ mod tests {
                     kind: MemFaultKind::StuckAt { value: true },
                 },
             );
-            run_march(&march_c_minus(), &mut mem)
+            run_march(&march_c_minus(), &mut mem, &RunCtx::default())
         };
         assert!(r.detected);
         let (elem, addr, _) = r.first_fail.unwrap();

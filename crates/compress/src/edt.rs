@@ -1,7 +1,6 @@
 //! The EDT codec: cube encoding (GF(2) solve) and stimulus expansion.
 
-use dft_checkpoint::CancelToken;
-use dft_logicsim::TestCube;
+use dft_logicsim::{RunCtx, TestCube};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_scan::ScanInsertion;
@@ -72,16 +71,14 @@ impl EdtCodec {
         }
     }
 
-    /// Points encode/solve counters at `metrics`.
-    pub fn set_metrics(&mut self, metrics: MetricsHandle) {
-        self.metrics = metrics;
-    }
-
-    /// Points span recording at `trace`: each [`EdtCodec::encode`] call
-    /// records an `edt_encode` span (`arg` = care bits) wrapping a
-    /// `gf2_solve` span around the linear solve.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
+    /// Takes the run context: encode/solve counters go to
+    /// `ctx.metrics`, and each [`EdtCodec::encode`] call records an
+    /// `edt_encode` span (`arg` = care bits) wrapping a `gf2_solve` span
+    /// around the linear solve.
+    pub fn with_ctx(mut self, ctx: RunCtx) -> EdtCodec {
+        self.metrics = ctx.metrics;
+        self.trace = ctx.trace;
+        self
     }
 
     /// Number of scan chains driven.
@@ -205,8 +202,8 @@ pub struct CompressionStats {
     pub compressed_bits: u64,
     /// Total flat stimulus bits for the same patterns.
     pub flat_bits: u64,
-    /// Cubes skipped because a [`CancelToken`] fired mid-pass (see
-    /// [`ScanEdt::compress_all_cancellable`]). Non-zero means the stats
+    /// Cubes skipped because the context's token fired mid-pass (see
+    /// [`ScanEdt::compress_all`]). Non-zero means the stats
     /// cover only a prefix of the cube set.
     pub skipped: usize,
 }
@@ -241,8 +238,7 @@ pub struct ScanEdt<'a> {
     codec: EdtCodec,
     /// For each flop (by netlist dff order), its flat cell index.
     cell_of_ff: Vec<usize>,
-    metrics: MetricsHandle,
-    trace: TraceHandle,
+    ctx: RunCtx,
 }
 
 impl<'a> ScanEdt<'a> {
@@ -275,24 +271,17 @@ impl<'a> ScanEdt<'a> {
             scan,
             codec,
             cell_of_ff,
-            metrics: MetricsHandle::disabled(),
-            trace: TraceHandle::disabled(),
+            ctx: RunCtx::default(),
         }
     }
 
-    /// Points the binding (and its codec) at `metrics`.
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> ScanEdt<'a> {
-        self.codec.set_metrics(metrics.clone());
-        self.metrics = metrics;
-        self
-    }
-
-    /// Points the binding (and its codec) at `trace`:
+    /// Takes the run context, for the binding and its codec:
     /// [`ScanEdt::compress_all`] records a `compress_all` span (`arg` =
-    /// cube count) around per-cube `edt_encode`/`gf2_solve` spans.
-    pub fn with_trace(mut self, trace: TraceHandle) -> ScanEdt<'a> {
-        self.codec.set_trace(trace.clone());
-        self.trace = trace;
+    /// cube count) around per-cube `edt_encode`/`gf2_solve` spans, and
+    /// checks `ctx.cancel` at every cube boundary.
+    pub fn with_ctx(mut self, ctx: RunCtx) -> ScanEdt<'a> {
+        self.codec = self.codec.with_ctx(ctx.clone());
+        self.ctx = ctx;
         self
     }
 
@@ -341,30 +330,22 @@ impl<'a> ScanEdt<'a> {
         pattern
     }
 
-    /// Encodes every cube, returning aggregate statistics.
+    /// Encodes every cube, returning aggregate statistics. A fired
+    /// context token drains the pass at the next cube boundary,
+    /// counting the unprocessed tail in [`CompressionStats::skipped`].
+    /// Compression is a pure accounting pass (nothing downstream
+    /// consumes its intermediate state), so a drained pass is simply
+    /// rerun after resume.
     pub fn compress_all(&self, cubes: &[TestCube]) -> CompressionStats {
-        self.compress_inner(cubes, None)
-    }
-
-    /// [`ScanEdt::compress_all`] with cooperative cancellation: the token
-    /// is checked at every cube boundary and a fired token drains the
-    /// pass, counting the unprocessed tail in
-    /// [`CompressionStats::skipped`]. Compression is a pure accounting
-    /// pass (nothing downstream consumes its intermediate state), so a
-    /// drained pass is simply rerun after resume.
-    pub fn compress_all_cancellable(
-        &self,
-        cubes: &[TestCube],
-        cancel: &CancelToken,
-    ) -> CompressionStats {
-        self.compress_inner(cubes, Some(cancel))
-    }
-
-    fn compress_inner(&self, cubes: &[TestCube], cancel: Option<&CancelToken>) -> CompressionStats {
-        let _span = self.trace.span_arg("compress_all", cubes.len() as u64);
+        let _span = self.ctx.trace.span_arg("compress_all", cubes.len() as u64);
         let mut stats = CompressionStats::default();
         for (i, cube) in cubes.iter().enumerate() {
-            if cancel.is_some_and(|tok| tok.is_cancelled()) {
+            if self
+                .ctx
+                .cancel
+                .as_ref()
+                .is_some_and(|tok| tok.is_cancelled())
+            {
                 stats.skipped = cubes.len() - i;
                 break;
             }
@@ -382,7 +363,7 @@ impl<'a> ScanEdt<'a> {
                 }
             }
         }
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = self.ctx.metrics.get() {
             m.edt_compressed_bits.add(stats.compressed_bits);
             m.edt_flat_bits.add(stats.flat_bits);
         }
@@ -398,6 +379,7 @@ impl<'a> ScanEdt<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dft_checkpoint::CancelToken;
     use dft_scan::{insert_scan, ScanConfig};
 
     #[test]
@@ -454,16 +436,22 @@ mod tests {
         use dft_netlist::generators::counter;
         let nl = counter(8);
         let scan = insert_scan(&nl, &ScanConfig { num_chains: 2 });
-        let edt = ScanEdt::new(&nl, &scan, 1, 16, 9);
+        let edt = |cancel: CancelToken| {
+            ScanEdt::new(&nl, &scan, 1, 16, 9).with_ctx(RunCtx {
+                cancel: Some(cancel),
+                ..RunCtx::default()
+            })
+        };
         let cubes = vec![TestCube::all_x(1 + 8); 5];
         let tok = CancelToken::new();
         tok.cancel();
-        let stats = edt.compress_all_cancellable(&cubes, &tok);
+        let stats = edt(tok).compress_all(&cubes);
         assert_eq!(stats.skipped, 5);
         assert_eq!(stats.encoded + stats.failed, 0);
         // An un-fired token leaves the pass identical to the plain one.
-        let clean = edt.compress_all_cancellable(&cubes, &CancelToken::new());
-        assert_eq!(clean, edt.compress_all(&cubes));
+        let clean = edt(CancelToken::new()).compress_all(&cubes);
+        let plain = ScanEdt::new(&nl, &scan, 1, 16, 9).compress_all(&cubes);
+        assert_eq!(clean, plain);
         assert_eq!(clean.skipped, 0);
     }
 

@@ -4,7 +4,7 @@
 //! phase-shifter datapath (every care bit satisfied).
 
 use dft_compress::EdtCodec;
-use dft_logicsim::TestCube;
+use dft_logicsim::{RunCtx, TestCube};
 use dft_metrics::MetricsHandle;
 use proptest::prelude::*;
 
@@ -25,8 +25,10 @@ proptest! {
         density_pct in 1u64..30,
     ) {
         let metrics = MetricsHandle::enabled();
-        let mut codec = EdtCodec::new(chains, chain_len, channels, ring_len, seed);
-        codec.set_metrics(metrics.clone());
+        let codec = EdtCodec::new(chains, chain_len, channels, ring_len, seed).with_ctx(RunCtx {
+            metrics: metrics.clone(),
+            ..RunCtx::default()
+        });
 
         // Derive care bits from a seeded LCG (the vendored proptest has no
         // collection strategies).

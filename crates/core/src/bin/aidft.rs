@@ -53,8 +53,8 @@
 //! `atpg`, `flow`, `bist`, and `repair` also accept:
 //!
 //! - `--metrics-json <path>` — the hot-path metric snapshot of the run
-//!   (PODEM backtracks, fault-sim gate evaluations, EDT encode stats,
-//!   phase timers) as JSON. See EXPERIMENTS.md for the schema.
+//!   (PODEM backtracks, fault-sim gate evaluations, EDT encode stats)
+//!   as JSON. See EXPERIMENTS.md for the schema.
 //! - `--trace <path>` — a Chrome `trace_event` file of the run's span
 //!   tree, loadable in `ui.perfetto.dev` or `chrome://tracing`.
 //! - `--trace-jsonl <path>` — the same spans as a line-oriented
@@ -117,7 +117,7 @@ use dft_core::atpg::{Atpg, AtpgConfig, AtpgError, Durability};
 use dft_core::bist::LogicBist;
 use dft_core::checkpoint::{fsck, CancelToken, ChaosConfig, CkptError, FramedJournal, Journal};
 use dft_core::diagnosis::{diagnose, FailureLog};
-use dft_core::logicsim::PatternSet;
+use dft_core::logicsim::{PatternSet, RunCtx};
 use dft_core::metrics::MetricsHandle;
 use dft_core::netlist::generators::benchmark_suite;
 use dft_core::netlist::{kind_histogram, parse_bench, write_bench, Netlist, NetlistStats};
@@ -209,21 +209,29 @@ impl DurOpts {
         j
     }
 
-    /// Builds the engine-side [`Durability`] handle: cancellation token
-    /// wired to the process signals, journal, cadence, chaos, and the
-    /// loaded resume state.
-    fn build(&self) -> Result<Durability, DftError> {
+    /// The run context of a durable run: a cancellation token wired to
+    /// the process signals, the `AIDFT_CHAOS` settings, and the run's
+    /// metrics and trace.
+    fn ctx(&self, metrics: &MetricsHandle, trace: &TraceHandle) -> RunCtx {
         let token = CancelToken::new();
         cancel_on_signals(token.clone());
-        let mut dur = Durability::new(token);
+        RunCtx {
+            cancel: Some(token),
+            chaos: self.chaos.unwrap_or_default(),
+            metrics: metrics.clone(),
+            trace: trace.clone(),
+        }
+    }
+
+    /// Builds the engine-side [`Durability`] handle: journal, cadence,
+    /// and the loaded resume state.
+    fn build(&self) -> Result<Durability, DftError> {
+        let mut dur = Durability::new();
         if let Some(path) = self.checkpoint.as_ref().or(self.resume.as_ref()) {
             dur = dur.with_journal(self.journal(path));
         }
         if let Some(n) = self.every {
             dur = dur.checkpoint_every(n);
-        }
-        if let Some(chaos) = self.chaos {
-            dur = dur.with_chaos(chaos);
         }
         if let Some(path) = &self.resume {
             let (state, recovery) = self.journal(path).load_last_report()?;
@@ -300,8 +308,7 @@ fn main() -> ExitCode {
                 .threads(threads)
                 .deadline_ms(dur_opts.timeout_ms);
             let run = Atpg::new(nl)
-                .with_metrics(handle.clone())
-                .with_trace(trace.clone())
+                .with_ctx(dur_opts.ctx(&handle, &trace))
                 .run_durable(&cfg, &mut dur)
                 .map_err(|e| lift_atpg_error(nl.name(), e));
             progress.finish();
@@ -328,8 +335,7 @@ fn main() -> ExitCode {
                 .chains(chains)
                 .threads(threads)
                 .atpg_config(AtpgConfig::new().deadline_ms(dur_opts.timeout_ms))
-                .metrics(handle)
-                .trace(trace.clone())
+                .ctx(dur_opts.ctx(&handle, &trace))
                 .run_durable(&mut dur);
             progress.finish();
             let report = report?;
@@ -347,8 +353,11 @@ fn main() -> ExitCode {
             let handle = MetricsHandle::enabled();
             let progress = ProgressLine::spawn(trace.clone(), handle.clone());
             let r = LogicBist::new(nl, 32)
-                .metrics(handle.clone())
-                .trace(trace.clone())
+                .ctx(RunCtx {
+                    metrics: handle.clone(),
+                    trace: trace.clone(),
+                    ..RunCtx::default()
+                })
                 .threads(threads)
                 .run(patterns, 0xB157);
             progress.finish();
@@ -717,7 +726,7 @@ fn run_repair_demo(
     metrics_path: &Option<String>,
     trace: &TraceHandle,
 ) -> Result<(), DftError> {
-    use dft_core::aichip::{broadcast_screen_traced, hierarchical_plan_traced, SocConfig};
+    use dft_core::aichip::{broadcast_screen, hierarchical_plan, SocConfig};
     use dft_core::bist::SramModel;
     use dft_core::netlist::generators::mac_pe;
     use dft_core::repair::{
@@ -741,9 +750,11 @@ fn run_repair_demo(
         spares.spare_rows,
         spares.spare_cols
     );
-    let engine = BisrEngine::new()
-        .with_metrics(handle.clone())
-        .with_trace(trace.clone());
+    let engine = BisrEngine::new().with_ctx(RunCtx {
+        metrics: handle.clone(),
+        trace: trace.clone(),
+        ..RunCtx::default()
+    });
     let faults = random_point_faults(geom, &spares, 3, 0xB15);
     let physical = SramModel::with_faults(spares.physical_size(&geom), faults);
     let report = engine.run(&physical, geom, &spares);
@@ -783,9 +794,13 @@ fn run_repair_demo(
     };
     let atpg = AtpgConfig::new().threads(threads);
     let progress = ProgressLine::spawn(trace.clone(), handle.clone());
-    let plan = hierarchical_plan_traced(&core, &cfg, &atpg, trace.clone());
+    let traced = RunCtx {
+        trace: trace.clone(),
+        ..RunCtx::default()
+    };
+    let plan = hierarchical_plan(&core, &cfg, &atpg, &traced);
     let defective = [4usize, 13];
-    let pass_map = broadcast_screen_traced(&core, &cfg, &atpg, &defective, trace.clone());
+    let pass_map = broadcast_screen(&core, &cfg, &atpg, &defective, &traced);
     progress.finish();
     let hplan = plan_degradation(
         &pass_map,

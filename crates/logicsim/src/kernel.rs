@@ -25,7 +25,7 @@ use dft_netlist::Netlist;
 use dft_trace::TraceHandle;
 
 use crate::tape::{GateTape, TapeWorkspace, WideWord, LANES, WIDE_PATTERNS};
-use crate::{Executor, Pattern, PatternSet, Response};
+use crate::{Executor, Pattern, PatternSet, Response, RunCtx};
 
 /// Below this many fault×pattern propagations the spawn/merge cost
 /// dominates; batches fall back to the calling thread.
@@ -151,20 +151,22 @@ pub struct TapeKernel<'nl> {
 }
 
 impl<'nl> TapeKernel<'nl> {
-    /// Attaches a cancellation token. Workers poll it once per fault;
-    /// when it fires, the pass drains and **discards** its detections
-    /// (see [`SimStats::interrupted`]), leaving the fault list untouched
-    /// so the pass can be repeated bit-identically.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> TapeKernel<'nl> {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Attaches the chaos harness: worker-panic and batch-delay
-    /// injections fire deterministically per fault-list index, so the
-    /// same faults are hit regardless of thread count.
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> TapeKernel<'nl> {
-        self.chaos = chaos.is_active().then_some(chaos);
+    /// Takes the run context. Workers poll `ctx.cancel` once per fault
+    /// per block; when it fires, the pass drains and **discards** its
+    /// detections (see [`SimStats::interrupted`]), leaving the fault list
+    /// untouched so the pass can be repeated bit-identically. Chaos
+    /// worker panics and batch delays fire per fault-list index, so the
+    /// same faults are hit at any thread count. Counters (`goodsim_*`,
+    /// `faultsim_*`, `transition_*`; `*_gate_evals` count wide
+    /// evaluations) flush once per batch call. Spans: `faultsim_run`,
+    /// `goodsim_eval` and worker-tagged `faultsim_batch` per stuck-at
+    /// batch, `transition_run` and `transition_batch` per transition
+    /// batch.
+    pub fn with_ctx(mut self, ctx: RunCtx) -> TapeKernel<'nl> {
+        self.chaos = ctx.chaos.is_active().then_some(ctx.chaos);
+        self.cancel = ctx.cancel;
+        self.metrics = ctx.metrics;
+        self.trace = ctx.trace;
         self
     }
 
@@ -175,23 +177,6 @@ impl<'nl> TapeKernel<'nl> {
     /// bit-identically to a clean run. Never set outside tests.
     pub fn with_poisoned_fault(mut self, fault: Fault) -> TapeKernel<'nl> {
         self.poison = Some(fault);
-        self
-    }
-
-    /// Points run counters at `metrics` (`goodsim_*`, `faultsim_*`,
-    /// `transition_*`; `*_gate_evals` count wide evaluations). Counters
-    /// are flushed once per batch call; the per-fault hot path is
-    /// untouched.
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> TapeKernel<'nl> {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Points span recording at `trace`: `faultsim_run`, `goodsim_eval`
-    /// and worker-tagged `faultsim_batch` spans per stuck-at batch,
-    /// `transition_run` and `transition_batch` per transition batch.
-    pub fn with_trace(mut self, trace: TraceHandle) -> TapeKernel<'nl> {
-        self.trace = trace;
         self
     }
 

@@ -46,7 +46,7 @@ pub mod tape;
 pub mod testability;
 
 pub use cube::TestCube;
-pub use exec::{ExecError, Executor, Parallelism};
+pub use exec::{ExecError, Executor, Parallelism, RunCtx};
 pub use fivesim::FiveSim;
 pub use kernel::{Defect, KernelKind, SimKernel, SimStats, TapeKernel};
 pub use patterns::{Pattern, PatternSet, Response};

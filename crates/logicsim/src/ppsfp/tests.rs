@@ -9,7 +9,9 @@ use dft_fault::{
 use dft_netlist::generators::{c17, parity_tree, ripple_adder, s27};
 use dft_netlist::{GateKind, Netlist};
 
-use crate::{oracle, Defect, Executor, FiveSim, Pattern, PatternSet, SimKernel, TapeKernel};
+use crate::{
+    oracle, Defect, Executor, FiveSim, Pattern, PatternSet, RunCtx, SimKernel, TapeKernel,
+};
 
 /// Does the single pattern `p` detect `defect` on the tape?
 fn detects(nl: &Netlist, p: Pattern, defect: impl Into<Defect> + Copy) -> bool {
@@ -284,7 +286,10 @@ fn cancelled_run_discards_all_detections() {
     let ps = PatternSet::random(&nl, 96, 17);
     let tok = CancelToken::new();
     tok.cancel();
-    let sim = TapeKernel::compile(&nl).with_cancel(tok);
+    let sim = TapeKernel::compile(&nl).with_ctx(RunCtx {
+        cancel: Some(tok),
+        ..RunCtx::default()
+    });
     let mut list = FaultList::new(universe_stuck_at(&nl));
     let stats = sim.fault_batch(&ps, &mut list, &Executor::serial());
     assert!(stats.interrupted);
@@ -302,7 +307,10 @@ fn mid_run_trip_is_repeatable_bit_identically() {
     // Trip partway through the pass: nothing may be marked.
     let tok = CancelToken::new();
     tok.trip_after_polls(universe.len() as u64 / 2);
-    let sim = TapeKernel::compile(&nl).with_cancel(tok.clone());
+    let sim = TapeKernel::compile(&nl).with_ctx(RunCtx {
+        cancel: Some(tok.clone()),
+        ..RunCtx::default()
+    });
     let mut list = FaultList::new(universe.clone());
     let stats = sim.fault_batch(&ps, &mut list, &Executor::serial());
     assert!(stats.interrupted);
@@ -323,7 +331,10 @@ fn chaos_panics_hit_the_same_faults_at_any_thread_count() {
     let chaos = ChaosConfig::parse("panic=0.05,seed=11").unwrap();
     let mut results = Vec::new();
     for threads in [1usize, 4] {
-        let sim = TapeKernel::compile(&nl).with_chaos(chaos);
+        let sim = TapeKernel::compile(&nl).with_ctx(RunCtx {
+            chaos,
+            ..RunCtx::default()
+        });
         let mut list = FaultList::new(universe.clone());
         let stats = sim.fault_batch(&ps, &mut list, &Executor::with_threads(threads));
         assert!(stats.failed_batches > 0, "threads={threads}");

@@ -13,9 +13,8 @@
 //!    value is a pure function of the work performed, never of thread
 //!    scheduling — the parallel fault-simulation paths merge per-chunk
 //!    sums, so an 8-thread run reports bit-identical counts to a serial
-//!    run. Wall-clock [`TimerStat`]s are the one deliberate exception and
-//!    are kept in a separate snapshot section so tests can compare the
-//!    deterministic part alone ([`MetricsSnapshot::deterministic_eq`]).
+//!    run, and two snapshots compare with `==`. Wall-clock time is not
+//!    recorded here: phase timings come from trace spans.
 //! 3. **No global state.** A registry is owned by whoever starts the work
 //!    (a `DftFlow` run, a CLI invocation, a bench iteration) and shared
 //!    via `Arc`, so concurrent runs in one process never bleed counts
@@ -31,7 +30,6 @@
 //! let handle = MetricsHandle::enabled();
 //! if let Some(m) = handle.get() {
 //!     m.podem_backtracks.add(17);
-//!     m.t_atpg_random.record(std::time::Duration::from_millis(3));
 //! }
 //! let snap = handle.snapshot().unwrap();
 //! assert_eq!(snap.counter("podem_backtracks"), 17);
@@ -44,7 +42,6 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A monotonically increasing event counter (relaxed atomics: totals are
 /// exact after the owning work joins its threads, which is when snapshots
@@ -158,68 +155,12 @@ impl Histogram {
     }
 }
 
-/// Accumulated wall-clock time of one pipeline phase. Timer values are
-/// nondeterministic by nature; snapshots keep them separate from the
-/// counters so determinism comparisons can skip them.
-#[derive(Debug, Default)]
-pub struct TimerStat {
-    nanos: Counter,
-    count: Counter,
-}
-
-impl TimerStat {
-    /// Records one phase execution of duration `d`.
-    pub fn record(&self, d: Duration) {
-        self.nanos.add(d.as_nanos().min(u64::MAX as u128) as u64);
-        self.count.inc();
-    }
-
-    /// Starts a scoped timer that records into this stat on drop.
-    pub fn timed(&self) -> ScopedTimer<'_> {
-        ScopedTimer {
-            stat: self,
-            start: Instant::now(),
-        }
-    }
-
-    /// Total nanoseconds recorded.
-    pub fn nanos(&self) -> u64 {
-        self.nanos.get()
-    }
-
-    /// Number of executions recorded.
-    pub fn count(&self) -> u64 {
-        self.count.get()
-    }
-
-    /// Resets the stat.
-    pub fn reset(&self) {
-        self.nanos.reset();
-        self.count.reset();
-    }
-}
-
-/// RAII guard from [`TimerStat::timed`]: records the elapsed time into
-/// the owning stat when dropped.
-#[derive(Debug)]
-pub struct ScopedTimer<'a> {
-    stat: &'a TimerStat,
-    start: Instant,
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        self.stat.record(self.start.elapsed());
-    }
-}
-
 /// Declares the [`Metrics`] registry plus its snapshot/reset plumbing so
 /// adding an instrument is a one-line change.
 macro_rules! registry {
     (
         counters { $($cname:ident : $cdoc:literal,)* }
         histograms { $($hname:ident : $hdoc:literal,)* }
-        timers { $($tname:ident : $tdoc:literal,)* }
     ) => {
         /// The metric registry: one field per instrument, grouped by
         /// subsystem. Owned by whoever starts a run and shared by `Arc`.
@@ -227,7 +168,6 @@ macro_rules! registry {
         pub struct Metrics {
             $(#[doc = $cdoc] pub $cname: Counter,)*
             $(#[doc = $hdoc] pub $hname: Histogram,)*
-            $(#[doc = $tdoc] pub $tname: TimerStat,)*
         }
 
         impl Metrics {
@@ -240,7 +180,6 @@ macro_rules! registry {
             pub fn reset(&self) {
                 $(self.$cname.reset();)*
                 $(self.$hname.reset();)*
-                $(self.$tname.reset();)*
             }
 
             /// Captures the current values (declaration order, stable
@@ -252,12 +191,6 @@ macro_rules! registry {
                     ],
                     histograms: vec![
                         $((stringify!($hname), self.$hname.buckets()),)*
-                    ],
-                    timers: vec![
-                        $((stringify!($tname), TimerSnapshot {
-                            nanos: self.$tname.nanos(),
-                            count: self.$tname.count(),
-                        }),)*
                     ],
                 }
             }
@@ -349,14 +282,6 @@ registry! {
         podem_backtracks_per_call: "Distribution of backtracks per PODEM call (log2 buckets).",
         edt_care_bits_per_cube: "Distribution of care bits per encoded cube (log2 buckets).",
     }
-    timers {
-        t_scan_insertion: "Wall-clock time of scan insertion.",
-        t_atpg_random: "Wall-clock time of the random-pattern ATPG phase.",
-        t_atpg_deterministic: "Wall-clock time of deterministic top-off + compaction.",
-        t_atpg_signoff: "Wall-clock time of sign-off fault simulation.",
-        t_edt_compress: "Wall-clock time of EDT compression.",
-        t_ckpt_write: "Wall-clock time of checkpoint journal writes.",
-    }
 }
 
 /// A cheap, cloneable reference to a [`Metrics`] registry — or the
@@ -398,26 +323,15 @@ impl MetricsHandle {
     }
 }
 
-/// Captured value of one [`TimerStat`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TimerSnapshot {
-    /// Total nanoseconds.
-    pub nanos: u64,
-    /// Executions recorded.
-    pub count: u64,
-}
-
 /// A point-in-time capture of a [`Metrics`] registry, in declaration
-/// order. Counters and histograms are deterministic (scheduling-
-/// independent); timers are wall-clock.
-#[derive(Debug, Clone, PartialEq)]
+/// order. Every value is deterministic (scheduling-independent), so
+/// snapshots of equal work compare equal with `==`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `(name, total)` per counter.
     pub counters: Vec<(&'static str, u64)>,
     /// `(name, buckets)` per histogram.
     pub histograms: Vec<(&'static str, [u64; HISTOGRAM_BUCKETS])>,
-    /// `(name, value)` per phase timer.
-    pub timers: Vec<(&'static str, TimerSnapshot)>,
 }
 
 impl MetricsSnapshot {
@@ -449,8 +363,7 @@ impl MetricsSnapshot {
     }
 
     /// The per-instrument change since `earlier`: saturating
-    /// subtraction by name across counters, histogram buckets, and
-    /// timers. Both snapshots normally come from the same registry
+    /// subtraction by name across counters and histogram buckets. Both snapshots normally come from the same registry
     /// (same names in the same order — the fast path); names missing
     /// from `earlier` are treated as zero, so a delta across registry
     /// generations is still well-defined. This is the sampler
@@ -488,41 +401,10 @@ impl MetricsSnapshot {
                 (*n, std::array::from_fn(|j| b[j].saturating_sub(prev[j])))
             })
             .collect();
-        let timers = self
-            .timers
-            .iter()
-            .enumerate()
-            .map(|(i, (n, t))| {
-                let prev = match earlier.timers.get(i) {
-                    Some((pn, pt)) if pn == n => *pt,
-                    _ => earlier
-                        .timers
-                        .iter()
-                        .find(|(pn, _)| pn == n)
-                        .map(|(_, pt)| *pt)
-                        .unwrap_or_default(),
-                };
-                (
-                    *n,
-                    TimerSnapshot {
-                        nanos: t.nanos.saturating_sub(prev.nanos),
-                        count: t.count.saturating_sub(prev.count),
-                    },
-                )
-            })
-            .collect();
         MetricsSnapshot {
             counters,
             histograms,
-            timers,
         }
-    }
-
-    /// `true` when the scheduling-independent parts (counters and
-    /// histograms, not timers) are identical — the comparison the
-    /// thread-count determinism tests use.
-    pub fn deterministic_eq(&self, other: &MetricsSnapshot) -> bool {
-        self.counters == other.counters && self.histograms == other.histograms
     }
 
     /// Serializes the snapshot as pretty-printed JSON with stable key
@@ -552,15 +434,6 @@ impl MetricsSnapshot {
                 .collect::<Vec<_>>()
                 .join(", ");
             let _ = writeln!(s, "    \"{name}\": [{list}]{sep}");
-        }
-        s.push_str("  },\n  \"timers\": {\n");
-        for (i, (name, t)) in self.timers.iter().enumerate() {
-            let sep = if i + 1 == self.timers.len() { "" } else { "," };
-            let _ = writeln!(
-                s,
-                "    \"{name}\": {{ \"nanos\": {}, \"count\": {} }}{sep}",
-                t.nanos, t.count
-            );
         }
         s.push_str("  }\n}\n");
         s
@@ -607,26 +480,13 @@ mod tests {
     }
 
     #[test]
-    fn scoped_timer_records_on_drop() {
-        let m = Metrics::new();
-        {
-            let _t = m.t_atpg_random.timed();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(m.t_atpg_random.count(), 1);
-        assert!(m.t_atpg_random.nanos() > 0);
-    }
-
-    #[test]
     fn snapshot_json_is_well_formed_and_stable() {
         let m = Metrics::new();
         m.goodsim_gate_evals.add(42);
         m.podem_backtracks_per_call.record(3);
-        m.t_scan_insertion.record(Duration::from_nanos(77));
         let snap = m.snapshot();
         let json = snap.to_json();
         assert!(json.contains("\"goodsim_gate_evals\": 42"));
-        assert!(json.contains("\"t_scan_insertion\": { \"nanos\": 77, \"count\": 1 }"));
         // Balanced braces/brackets (cheap well-formedness check).
         assert_eq!(
             json.matches('{').count(),
@@ -641,47 +501,19 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_eq_ignores_timers() {
-        let a = Metrics::new();
-        let b = Metrics::new();
-        a.faultsim_gate_evals.add(9);
-        b.faultsim_gate_evals.add(9);
-        a.t_atpg_signoff.record(Duration::from_millis(5));
-        b.t_atpg_signoff.record(Duration::from_millis(50));
-        let sa = a.snapshot();
-        let sb = b.snapshot();
-        assert!(sa.deterministic_eq(&sb));
-        assert_ne!(sa, sb, "full equality must still see the timers");
-    }
-
-    #[test]
     fn delta_subtracts_by_name_and_saturates() {
         let m = Metrics::new();
         m.serve_windows.add(10);
         m.podem_backtracks_per_call.record(4);
-        m.t_atpg_random.record(Duration::from_nanos(100));
         let earlier = m.snapshot();
         m.serve_windows.add(7);
         m.serve_signatures.add(3);
         m.podem_backtracks_per_call.record(4);
-        m.t_atpg_random.record(Duration::from_nanos(50));
         let d = m.snapshot().delta(&earlier);
         assert_eq!(d.counter("serve_windows"), 7);
         assert_eq!(d.counter("serve_signatures"), 3);
         assert_eq!(d.counter("podem_calls"), 0);
         assert_eq!(d.histogram_count("podem_backtracks_per_call"), 1);
-        let t = d
-            .timers
-            .iter()
-            .find(|(n, _)| *n == "t_atpg_random")
-            .unwrap();
-        assert_eq!(
-            t.1,
-            TimerSnapshot {
-                nanos: 50,
-                count: 1
-            }
-        );
         // A later snapshot subtracted from an earlier one saturates at
         // zero instead of wrapping.
         let d = earlier.delta(&m.snapshot());
@@ -690,7 +522,6 @@ mod tests {
         let empty = MetricsSnapshot {
             counters: Vec::new(),
             histograms: Vec::new(),
-            timers: Vec::new(),
         };
         let id = m.snapshot().delta(&empty);
         assert_eq!(id.counter("serve_windows"), 17);

@@ -25,12 +25,10 @@
 //! stage resolves everything.
 
 use dft_bist::{
-    run_march, run_march_with_map, run_march_with_map_cancellable, MarchAlgorithm, MarchResult,
-    MemFault, MemFaultKind, MemoryModel, SramModel,
+    run_march, run_march_with_map, MarchAlgorithm, MarchResult, MemFault, MemFaultKind,
+    MemoryModel, SramModel,
 };
-use dft_checkpoint::CancelToken;
-use dft_metrics::MetricsHandle;
-use dft_trace::TraceHandle;
+use dft_logicsim::RunCtx;
 
 /// Logical dimensions of the main (visible) array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,9 +363,7 @@ impl BisrReport {
 pub struct BisrEngine {
     algo: MarchAlgorithm,
     max_rounds: usize,
-    metrics: MetricsHandle,
-    trace: TraceHandle,
-    cancel: Option<CancelToken>,
+    ctx: RunCtx,
 }
 
 impl Default for BisrEngine {
@@ -383,9 +379,7 @@ impl BisrEngine {
         BisrEngine {
             algo: dft_bist::march_c_minus(),
             max_rounds: 4,
-            metrics: MetricsHandle::disabled(),
-            trace: TraceHandle::disabled(),
-            cancel: None,
+            ctx: RunCtx::default(),
         }
     }
 
@@ -401,35 +395,21 @@ impl BisrEngine {
         self
     }
 
-    /// Points the engine at `metrics` (bisr_* counters).
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> BisrEngine {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Points span recording at `trace`: each run records a `bisr_run`
-    /// span around per-iteration `bisr_round` spans (`arg` = round
-    /// number) and `mbist_march` spans for the detect/confirm Marches.
-    pub fn with_trace(mut self, trace: TraceHandle) -> BisrEngine {
-        self.trace = trace;
-        self
-    }
-
-    /// Attaches a cancellation token: the detect and confirm Marches
-    /// check it at every address boundary, and the repair loop checks it
-    /// before each round. A fired token drains the run cleanly with
-    /// [`BisrReport::interrupted`] set.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> BisrEngine {
-        self.cancel = Some(cancel);
+    /// Takes the run context: `bisr_*` counters go to `ctx.metrics`;
+    /// each run records a `bisr_run` span around per-iteration
+    /// `bisr_round` spans (`arg` = round number) and `mbist_march` spans
+    /// for the detect/confirm Marches. The detect and confirm Marches
+    /// check `ctx.cancel` at every address boundary, and the repair loop
+    /// checks it before each round; a fired token drains the run cleanly
+    /// with [`BisrReport::interrupted`] set.
+    pub fn with_ctx(mut self, ctx: RunCtx) -> BisrEngine {
+        self.ctx = ctx;
         self
     }
 
     fn march(&self, ordinal: u64, view: &mut RepairedSram) -> (MarchResult, Vec<bool>) {
-        let _march = self.trace.span_arg("mbist_march", ordinal);
-        match &self.cancel {
-            Some(tok) => run_march_with_map_cancellable(&self.algo, view, tok),
-            None => run_march_with_map(&self.algo, view),
-        }
+        let _march = self.ctx.trace.span_arg("mbist_march", ordinal);
+        run_march_with_map(&self.algo, view, &self.ctx)
     }
 
     /// Runs the full loop against `physical` (an array sized
@@ -447,7 +427,7 @@ impl BisrEngine {
             spares.physical_size(&geom),
             "physical array does not match geometry + spares"
         );
-        let _run = self.trace.span("bisr_run");
+        let _run = self.ctx.trace.span("bisr_run");
         // Round 0: MBIST through the identity mapping.
         let mut view =
             RepairedSram::new(physical.clone(), geom, spares, &RepairSignature::default());
@@ -475,13 +455,18 @@ impl BisrEngine {
             return report; // clean die, no repair needed
         }
         for _ in 0..self.max_rounds {
-            if self.cancel.as_ref().is_some_and(|tok| tok.is_cancelled()) {
+            if self
+                .ctx
+                .cancel
+                .as_ref()
+                .is_some_and(|tok| tok.is_cancelled())
+            {
                 report.interrupted = true;
                 self.flush(&report);
                 return report;
             }
             report.rounds += 1;
-            let _round = self.trace.span_arg("bisr_round", report.rounds as u64);
+            let _round = self.ctx.trace.span_arg("bisr_round", report.rounds as u64);
             let sig = match analyze_redundancy(&merged, spares) {
                 Some(sig) => sig,
                 None => {
@@ -517,7 +502,7 @@ impl BisrEngine {
     }
 
     fn flush(&self, report: &BisrReport) {
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = self.ctx.metrics.get() {
             m.bisr_runs.inc();
             if report.repaired {
                 m.bisr_repaired.inc();
@@ -646,13 +631,14 @@ pub fn march_unrepaired(
     spares: &SpareConfig,
 ) -> MarchResult {
     let mut view = RepairedSram::new(physical.clone(), geom, spares, &RepairSignature::default());
-    run_march(algo, &mut view)
+    run_march(algo, &mut view, &RunCtx::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dft_bist::march_c_minus;
+    use dft_checkpoint::CancelToken;
 
     const GEOM: SramGeometry = SramGeometry { rows: 8, cols: 8 };
     const SPARES: SpareConfig = SpareConfig {
@@ -737,10 +723,14 @@ mod tests {
     fn cancelled_bisr_drains_and_never_ships() {
         let physical =
             SramModel::with_faults(SPARES.physical_size(&GEOM), vec![saf(GEOM, &SPARES, 3, 5)]);
+        let polling = |cancel: CancelToken| RunCtx {
+            cancel: Some(cancel),
+            ..RunCtx::default()
+        };
         let tok = CancelToken::new();
         tok.cancel();
         let report = BisrEngine::new()
-            .with_cancel(tok)
+            .with_ctx(polling(tok))
             .run(&physical, GEOM, &SPARES);
         assert!(report.interrupted);
         assert!(!report.ships());
@@ -748,7 +738,7 @@ mod tests {
         assert!(!report.unrepairable);
         // An un-fired token leaves the verdict identical to a plain run.
         let live = BisrEngine::new()
-            .with_cancel(CancelToken::new())
+            .with_ctx(polling(CancelToken::new()))
             .run(&physical, GEOM, &SPARES);
         let plain = BisrEngine::new().run(&physical, GEOM, &SPARES);
         assert!(!live.interrupted);

@@ -4,6 +4,7 @@
 
 use dft_aichip::SocConfig;
 use dft_bist::{MemFault, MemFaultKind, SramModel};
+use dft_logicsim::RunCtx;
 use dft_metrics::MetricsHandle;
 use dft_repair::{
     plan_degradation, run_inference_check, BisrEngine, ShipGrade, SpareConfig, SramGeometry,
@@ -35,7 +36,10 @@ fn repairable_sram_ends_with_zero_failures() {
 
     let handle = MetricsHandle::enabled();
     let report = BisrEngine::new()
-        .with_metrics(handle.clone())
+        .with_ctx(RunCtx {
+            metrics: handle.clone(),
+            ..RunCtx::default()
+        })
         .run(&physical, GEOM, &SPARES);
 
     assert!(report.pre_march.detected, "MBIST must see the defects");
@@ -69,7 +73,10 @@ fn unrepairable_sram_is_reported_not_panicked() {
 
     let handle = MetricsHandle::enabled();
     let report = BisrEngine::new()
-        .with_metrics(handle.clone())
+        .with_ctx(RunCtx {
+            metrics: handle.clone(),
+            ..RunCtx::default()
+        })
         .run(&physical, GEOM, &SPARES);
 
     assert!(report.unrepairable);

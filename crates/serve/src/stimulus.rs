@@ -12,7 +12,7 @@ use dft_atpg::{Atpg, AtpgConfig};
 use dft_checkpoint::fnv1a;
 use dft_compress::{Misr, ScanEdt};
 use dft_fault::{universe_stuck_at, Fault};
-use dft_logicsim::{KernelKind, Pattern, PatternSet, Response, SimKernel, TapeKernel};
+use dft_logicsim::{KernelKind, Pattern, PatternSet, Response, RunCtx, SimKernel, TapeKernel};
 use dft_metrics::MetricsHandle;
 use dft_netlist::Netlist;
 use dft_scan::{insert_scan, ScanConfig, ScanInsertion};
@@ -177,14 +177,16 @@ impl<'nl> ServedStimulus<'nl> {
             (r, _) => r,
         };
 
-        let run = Atpg::new(nl)
-            .with_metrics(metrics.clone())
-            .with_trace(trace.clone())
-            .run(
-                &AtpgConfig::new()
-                    .random_patterns(cfg.random_patterns)
-                    .seed(cfg.seed),
-            );
+        let ctx = RunCtx {
+            metrics: metrics.clone(),
+            trace: trace.clone(),
+            ..RunCtx::default()
+        };
+        let run = Atpg::new(nl).with_ctx(ctx.clone()).run(
+            &AtpgConfig::new()
+                .random_patterns(cfg.random_patterns)
+                .seed(cfg.seed),
+        );
 
         let mut patterns = PatternSet::for_netlist(nl);
         let mut stimuli: Vec<Stimulus> = Vec::new();
@@ -228,9 +230,7 @@ impl<'nl> ServedStimulus<'nl> {
             .map(<[Stimulus]>::to_vec)
             .collect();
 
-        let kernel = TapeKernel::compile(nl)
-            .with_metrics(metrics.clone())
-            .with_trace(trace.clone());
+        let kernel = TapeKernel::compile(nl).with_ctx(ctx);
         let golden_responses = kernel.eval_batch(&patterns);
         let misr_width = golden_responses[0].len().max(2);
         let golden_sigs =

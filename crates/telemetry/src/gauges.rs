@@ -6,8 +6,9 @@
 //! bit-for-bit by the determinism suites. Live operator questions
 //! ("how many sessions are open *right now*? what's the p99 window
 //! latency?") are inherently timing-dependent, so they live here, in a
-//! separate [`FleetGauges`] block that is never part of
-//! [`dft_metrics::MetricsSnapshot::deterministic_eq`]. Latency
+//! separate [`FleetGauges`] block that never enters a
+//! [`dft_metrics::MetricsSnapshot`] (whose `==` is the determinism
+//! check). Latency
 //! histograms reuse the metrics crate's log2 [`Histogram`] and its
 //! [`dft_metrics::histogram_quantile`] estimator; they just never enter
 //! the deterministic registry.

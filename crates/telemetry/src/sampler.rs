@@ -39,7 +39,6 @@ pub(crate) fn take_sample(inner: &Inner, metrics: &MetricsHandle, history: &mut 
     let snap = metrics.snapshot().unwrap_or(MetricsSnapshot {
         counters: Vec::new(),
         histograms: Vec::new(),
-        timers: Vec::new(),
     });
     let mut sample = TelemetrySample {
         seq: inner.next_sample_seq(),

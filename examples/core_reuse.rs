@@ -10,6 +10,7 @@
 
 use dft_core::aichip::{hierarchical_plan, ssn_plan, DeliveryStyle, SocConfig};
 use dft_core::atpg::AtpgConfig;
+use dft_core::logicsim::RunCtx;
 use dft_core::netlist::generators::mac_pe;
 
 fn main() {
@@ -32,6 +33,7 @@ fn main() {
                 ..SocConfig::default()
             },
             &atpg,
+            &RunCtx::default(),
         );
         println!(
             "{:>6} {:>12} {:>14} {:>16} {:>8.1}x",

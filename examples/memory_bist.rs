@@ -12,6 +12,7 @@
 use dft_core::bist::{
     march_c_minus, march_ss, march_x, mats_plus, run_march, MemFault, MemFaultKind, SramModel,
 };
+use dft_core::logicsim::RunCtx;
 
 fn main() {
     let size = 256;
@@ -67,7 +68,7 @@ fn main() {
         );
         for algo in &algorithms {
             let mut mem = SramModel::with_fault(size, *fault);
-            let r = run_march(algo, &mut mem);
+            let r = run_march(algo, &mut mem, &RunCtx::default());
             print!("{:>10}", if r.detected { "DETECT" } else { "miss" });
         }
         println!();

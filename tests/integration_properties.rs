@@ -7,7 +7,7 @@ use dft_core::bist::{march_c_minus, run_march, MemFault, MemFaultKind, SramModel
 use dft_core::compress::EdtCodec;
 use dft_core::fault::{collapse_equivalent, universe_stuck_at, Fault, FaultList};
 use dft_core::logicsim::{
-    Executor, FiveSim, Pattern, PatternSet, Response, SimKernel, TapeKernel, TestCube,
+    Executor, FiveSim, Pattern, PatternSet, Response, RunCtx, SimKernel, TapeKernel, TestCube,
 };
 use dft_core::netlist::generators::random_logic;
 use dft_core::netlist::Logic;
@@ -111,7 +111,7 @@ proptest! {
                 kind: MemFaultKind::StuckAt { value },
             },
         );
-        prop_assert!(run_march(&march_c_minus(), &mut mem).detected);
+        prop_assert!(run_march(&march_c_minus(), &mut mem, &RunCtx::default()).detected);
     }
 
     /// `.bench` serialization round-trips: the reparsed netlist behaves
@@ -205,8 +205,7 @@ proptest! {
 
     /// The metric snapshot reported by PPSFP (and by the whole flow) is
     /// bit-identical across 1/2/8 workers: detections, counters, and
-    /// histograms — not just the coverage number. Timers are wall-clock
-    /// and excluded via `deterministic_eq`.
+    /// histograms — not just the coverage number.
     #[test]
     fn metrics_snapshot_is_thread_count_invariant(
         circuit in prop::select(vec!["c17", "mac4", "s27"]),
@@ -226,7 +225,10 @@ proptest! {
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
             let handle = MetricsHandle::enabled();
-            let sim = TapeKernel::compile(&nl).with_metrics(handle.clone());
+            let sim = TapeKernel::compile(&nl).with_ctx(RunCtx {
+                metrics: handle.clone(),
+                ..RunCtx::default()
+            });
             let mut list = FaultList::new(faults.clone());
             sim.fault_batch(&ps, &mut list, &Executor::with_threads(threads));
             runs.push((threads, list.num_detected(), handle.snapshot().unwrap()));
@@ -234,15 +236,15 @@ proptest! {
         let (_, detected_1, snap_1) = &runs[0];
         for (threads, detected, snap) in &runs[1..] {
             prop_assert_eq!(detected_1, detected, "threads={}", threads);
-            prop_assert!(
-                snap_1.deterministic_eq(snap),
+            prop_assert_eq!(
+                snap_1, snap,
                 "threads={} counters/histograms differ from serial", threads
             );
         }
         // End-to-end: the FlowReport snapshot obeys the same invariant.
         let flow_1 = DftFlow::new(&nl).threads(1).run();
         let flow_8 = DftFlow::new(&nl).threads(8).run();
-        prop_assert!(flow_1.metrics.deterministic_eq(&flow_8.metrics));
+        prop_assert_eq!(flow_1.metrics, flow_8.metrics);
     }
 
     /// Fault simulation with dropping gives the same coverage as without
