@@ -1,13 +1,14 @@
 //! Generic framed, checksummed journal records.
 //!
-//! The `aidft-ckpt-v1` journal ([`crate::Journal`]) frames every record
-//! as a `ckpt <format> <seq>` header, a line-oriented body, and an
-//! `end <crc>` trailer whose FNV-1a checksum covers everything above it.
-//! That framing is useful beyond ATPG state — the serve fleet journal
-//! (`aidft-serve-v2`) needs exactly the same torn-tail-tolerant,
-//! append-only durability — so the format-agnostic half lives here:
+//! Every journal frames each record as a `ckpt <format> <seq>` header, a
+//! line-oriented body, and an `end <crc>` trailer whose FNV-1a checksum
+//! covers everything above it. The ATPG checkpoint journal
+//! (`aidft-ckpt-v1`, [`crate::Journal`]), the serve fleet journal
+//! (`aidft-serve-v2`) and the telemetry event journal all need the same
+//! torn-tail-tolerant, append-only durability, so it lives here once:
 //! frame a body, validate a candidate record, and scan a journal file
-//! newest-first for the latest record that checks out.
+//! newest-first for the latest record that checks out. Each format owns
+//! only its body codec.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -297,11 +298,11 @@ pub(crate) fn load_last_replicated<T>(
 }
 
 /// An append-only journal of [`frame_record`]-framed records for one
-/// format id. The generic counterpart of [`crate::Journal`]: same
-/// torn-tail realignment on append, same newest-first recovery on load,
-/// but the body is opaque text owned by the caller. Optionally writes
-/// N-way replicas ([`FramedJournal::with_replicas`]) and injects
-/// seeded disk faults ([`FramedJournal::with_disk_chaos`]).
+/// format id: torn-tail realignment on append, newest-first recovery on
+/// load, and a body that is opaque text owned by the caller
+/// ([`crate::Journal`] wraps it with the checkpoint body codec).
+/// Optionally writes N-way replicas ([`FramedJournal::with_replicas`])
+/// and injects seeded disk faults ([`FramedJournal::with_disk_chaos`]).
 #[derive(Debug, Clone)]
 pub struct FramedJournal {
     path: PathBuf,
@@ -422,8 +423,20 @@ impl FramedJournal {
     /// describing how hard the load had to work — the hook the
     /// self-healing path uses to record scrub repairs.
     pub fn load_last_report(&self) -> Result<((u64, String), RecoveryReport), CkptError> {
+        self.load_last_decoded(|body| Some(body.to_owned()))
+    }
+
+    /// [`FramedJournal::load_last_report`] with each record's body
+    /// decoded by `decode`: a record whose body does not decode counts
+    /// as damaged, like one whose frame does not check out, and the
+    /// newest record that decodes wins.
+    pub fn load_last_decoded<T>(
+        &self,
+        decode: impl Fn(&str) -> Option<T>,
+    ) -> Result<((u64, T), RecoveryReport), CkptError> {
         load_last_replicated(&self.path, self.format, self.replicas, |t| {
-            parse_framed(t, self.format).map(|(seq, body)| (seq, (seq, body)))
+            let (seq, body) = parse_framed(t, self.format)?;
+            Some((seq, (seq, decode(&body)?)))
         })
     }
 }
